@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -262,6 +263,99 @@ TEST(BlockIdentityTest, PietqlResultsMatchRawAcrossTiers) {
                           << got.status().ToString();
     EXPECT_EQ(got.ValueOrDie().ToString(), want.ValueOrDie().ToString())
         << TierName(tier);
+  }
+}
+
+/// Distinct (Oid, t) pairs of a region-C relation.
+size_t DistinctOidT(const Result<FactTable>& table) {
+  const FactTable& t = table.ValueOrDie();
+  const size_t oid = t.ColumnIndex("Oid").ValueOrDie();
+  const size_t ts = t.ColumnIndex("t").ValueOrDie();
+  std::set<std::pair<Value, Value>> seen;
+  for (const olap::Row& row : t.rows()) {
+    seen.emplace(row[oid], row[ts]);
+  }
+  return seen.size();
+}
+
+int64_t CountOf(const core::pietql::Evaluator& evaluator,
+                const std::string& query) {
+  auto r = evaluator.EvaluateString(query);
+  EXPECT_TRUE(r.ok()) << query << ": " << r.status().ToString();
+  if (!r.ok() || !r.ValueOrDie().scalar) {
+    return -1;
+  }
+  return r.ValueOrDie().scalar->AsIntUnchecked();
+}
+
+TEST(BlockIdentityTest, PietqlCountsMatchEngineRegionC) {
+  // The two executors build the same region C (Sec. 5): each Piet-QL
+  // COUNT(*) equals the size of the engine relation it corresponds to,
+  // for every storage tier, thread count and rewrite setting.
+  GeometryPredicate low = GeometryPredicate::AttributeLess("income", 1500.0);
+  TimePredicate window =
+      TimePredicate().Window(temporal::Interval(temporal::TimePoint(900.0),
+                                                temporal::TimePoint(2700.0)));
+  const std::string geo =
+      "SELECT layer.neighborhoods; FROM SimCity; "
+      "WHERE ATTR(layer.neighborhoods, income) < 1500 | ";
+  const std::string between = "T BETWEEN 900 AND 2700";
+  for (Tier tier : {Tier::kRaw, Tier::kCompressed}) {
+    for (int threads : {1, 4}) {
+      for (bool on : {false, true}) {
+        const std::string tag = std::string(TierName(tier)) + "/t" +
+                                std::to_string(threads) +
+                                (on ? "/rewrite" : "/plain");
+        auto city = MakeCity(threads, tier);
+        QueryEngine engine(city->db.get());
+        engine.set_num_threads(threads);
+        engine.set_agg_cache_mode(on ? core::aggcache::AggCacheMode::kOn
+                                     : core::aggcache::AggCacheMode::kOff);
+        core::pietql::Evaluator evaluator(city->db.get());
+        evaluator.set_num_threads(threads);
+        evaluator.set_rewrite_mode(on ? analysis::rewrite::RewriteMode::kOn
+                                      : analysis::rewrite::RewriteMode::kOff);
+        evaluator.set_agg_cache_mode(on ? core::aggcache::AggCacheMode::kOn
+                                        : core::aggcache::AggCacheMode::kOff);
+
+        auto inside = engine.SampleRegion("cars", city->neighborhoods_layer,
+                                          low, window, Strategy::kNaive);
+        ASSERT_TRUE(inside.ok()) << tag;
+        EXPECT_GT(DistinctOidT(inside), 0u) << tag;
+        EXPECT_EQ(CountOf(evaluator, geo + "SELECT COUNT(*) FROM cars WHERE "
+                                           "INSIDE RESULT AND " + between),
+                  static_cast<int64_t>(DistinctOidT(inside)))
+            << tag << " INSIDE RESULT";
+
+        auto near = engine.SamplesNearNodes("cars", city->stops_layer, 40.0,
+                                            window);
+        ASSERT_TRUE(near.ok()) << tag;
+        EXPECT_GT(DistinctOidT(near), 0u) << tag;
+        EXPECT_EQ(CountOf(evaluator, geo + "SELECT COUNT(*) FROM cars WHERE "
+                                           "NEAR(layer.stops, 40) AND " +
+                                               between),
+                  static_cast<int64_t>(DistinctOidT(near)))
+            << tag << " NEAR";
+
+        auto passes = engine.TrajectoryRegion(
+            "cars", city->neighborhoods_layer, low, window);
+        ASSERT_TRUE(passes.ok()) << tag;
+        EXPECT_GT(passes.ValueOrDie().num_rows(), 0u) << tag;
+        EXPECT_EQ(CountOf(evaluator, geo + "SELECT COUNT(*) FROM cars WHERE "
+                                           "PASSES THROUGH RESULT AND " +
+                                               between),
+                  static_cast<int64_t>(passes.ValueOrDie().num_rows()))
+            << tag << " PASSES THROUGH";
+
+        auto timed = engine.SamplesMatchingTime("cars", window);
+        ASSERT_TRUE(timed.ok()) << tag;
+        EXPECT_EQ(
+            CountOf(evaluator, geo + "SELECT COUNT(*) FROM cars WHERE " +
+                                   between),
+            static_cast<int64_t>(timed.ValueOrDie().num_rows()))
+            << tag << " time only";
+      }
+    }
   }
 }
 

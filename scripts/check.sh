@@ -48,6 +48,18 @@ if grep -rEn "ResourceEstimate[[:space:]]*[{(]" \
   exit 1
 fi
 
+# Both executors (QueryEngine and the Piet-QL evaluator) build region C
+# through the shared scan operators in src/core/scan.{h,cc}: the ordered-
+# chunk collector and the per-object trajectory visitor. Neither may fan
+# out or build trajectories on its own again. (The aggregate cache's build
+# fan-out in src/core/aggcache/ is not a region-C scan.)
+if grep -n -E "TrajectorySample::FromSpan\(|parallel::OrderedReduce" \
+     src/core/engine.cc src/core/pietql/*; then
+  echo "error: QueryEngine and the Piet-QL evaluator reach FromSpan and" \
+       "OrderedReduce only through src/core/scan.{h,cc}" >&2
+  exit 1
+fi
+
 echo "== configure (${BUILD_DIR}, -Werror) =="
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=Release \

@@ -193,34 +193,11 @@ class QueryEngine {
   const EngineStats& stats() const { return stats_; }
 
  private:
-  /// Per-query context resolved once before the sample loop.
-  struct LocateContext {
-    const gis::Layer* layer = nullptr;
-    Strategy strategy = Strategy::kNaive;
-    std::vector<gis::GeometryId> qualifying;
-    std::vector<const geometry::Polygon*> qualifying_polygons;
-    std::vector<char> wanted;  // Dense membership bitmap by geometry id.
-    const gis::OverlayDb* overlay = nullptr;
-    size_t overlay_layer = 0;
-  };
-
-  Result<LocateContext> MakeLocateContext(const std::string& layer_name,
-                                          const GeometryPredicate& pred,
-                                          Strategy strategy) const;
-
-  /// Sample -> containing qualifying polygons; writes into `hits` and
-  /// counts work into `stats` (chunk-local under the fan-outs).
-  void LocateSample(const LocateContext& ctx, geometry::Point p,
-                    std::vector<gis::GeometryId>* hits,
-                    EngineStats* stats) const;
-
-  /// Wanted bitmap + cache entry shared by the two serve paths; nullopt
-  /// when serving is not possible and the caller must fall back.
-  std::optional<std::pair<std::shared_ptr<const aggcache::AggCacheEntry>,
-                          std::vector<uint8_t>>>
-  AggCacheContext(const std::string& moft, const std::string& layer,
-                  const GeometryPredicate& pred,
-                  const TimePredicate& when) const;
+  /// Shared body of SamplesOnPolylines (`lines`) and SamplesNearNodes.
+  Result<olap::FactTable> SamplesNear(const std::string& moft,
+                                      const std::string& layer, double radius,
+                                      bool lines,
+                                      const TimePredicate& when) const;
 
   const GeoOlapDatabase* db_;
   int num_threads_ = 0;

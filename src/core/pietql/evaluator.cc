@@ -18,6 +18,7 @@
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "core/region.h"
+#include "core/scan.h"
 #include "geometry/segment_polygon.h"
 #include "moving/traj_ops.h"
 #include "moving/trajectory.h"
@@ -28,10 +29,8 @@ namespace piet::core::pietql {
 using gis::GeometryId;
 using gis::GeometryKind;
 using gis::Layer;
-using moving::LinearTrajectory;
 using moving::Moft;
 using moving::ObjectId;
-using moving::TrajectorySample;
 using olap::FactTable;
 using temporal::Interval;
 using temporal::IntervalSet;
@@ -177,54 +176,13 @@ bool CompareValues(const Value& lhs, CompareOp op, const Value& rhs) {
   return false;
 }
 
-/// The qualifying result-layer geometries with their polygons resolved
-/// once, before the per-object loops: ids ascending (the order the old
-/// std::set iterated in), polygons index-aligned.
-struct WantedPolygons {
-  std::vector<GeometryId> ids;
-  std::vector<const geometry::Polygon*> polys;
+/// Region-C tuples of the moving-object part: (Oid, t) pairs.
+using Tuples = std::vector<std::pair<ObjectId, double>>;
 
-  bool contains(GeometryId id) const {
-    return std::binary_search(ids.begin(), ids.end(), id);
-  }
-};
-
-WantedPolygons ResolveWanted(const Layer& layer,
-                             const std::vector<GeometryId>& geometry_ids) {
-  std::vector<GeometryId> sorted(geometry_ids);
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  WantedPolygons out;
-  out.ids.reserve(sorted.size());
-  out.polys.reserve(sorted.size());
-  for (GeometryId id : sorted) {
-    auto pg = layer.GetPolygon(id);
-    if (pg.ok()) {
-      out.ids.push_back(id);
-      out.polys.push_back(pg.ValueOrDie());
-    }
-  }
-  return out;
-}
-
-/// One (Oid, t) tuple list per chunk, merged in chunk order so the final
-/// tuple sequence matches the serial loop for any thread count.
-struct TupleChunk {
-  std::vector<std::pair<ObjectId, double>> tuples;
-  Status status;
-};
-
-/// Flattens a SampleWindow's per-object ranges into absolute row indices,
-/// ascending — the same (oid, t) order a filtered full scan visits.
-std::vector<size_t> WindowRows(const moving::SampleWindow& win) {
-  std::vector<size_t> rows;
-  rows.reserve(win.size());
-  for (const moving::SampleWindow::Range& r : win.ranges()) {
-    for (size_t row = r.begin; row < r.end; ++row) {
-      rows.push_back(row);
-    }
-  }
-  return rows;
+const char* AggKindName(MoAggregate::Kind kind) {
+  return kind == MoAggregate::Kind::kCountAll           ? "count_all"
+         : kind == MoAggregate::Kind::kCountDistinctOid ? "count_distinct_oid"
+                                                        : "rate_per_hour";
 }
 
 }  // namespace
@@ -658,59 +616,38 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
   // predicate decomposes on hour buckets is answered from the database's
   // materialized (overlay cell × hour bucket) partials — interior cells
   // from cached counts, boundary cells and fringe buckets refined exactly.
-  // Served values are bit-identical to the tuple scan below; any gate
-  // failing (mode off, no overlay coverage, sub-hour rollup or group
-  // level, cache build failure) falls through to the ordinary pipeline.
-  // A sub-hour fallback — the cache was eligible but a "timeId"/"minute"
-  // granularity defeated it — is made observable: a counter bump here and
-  // an attribute naming the level on the moft_intersect span.
+  // Served values are bit-identical to the tuple scan below; a closed gate
+  // (mode off, no overlay coverage, sub-hour rollup or group level, cache
+  // build failure) falls through to the ordinary pipeline. A sub-hour
+  // fallback is also named on the moft_intersect span.
   std::string subhour_level = when.sub_hour_rollup_level();
   if (subhour_level.empty() && mo.group_by_level &&
       (*mo.group_by_level == "timeId" || *mo.group_by_level == "minute")) {
     subhour_level = *mo.group_by_level;
   }
-  const bool cache_eligible =
-      inside_result && !mo_zero &&
-      agg_cache_mode_ == aggcache::AggCacheMode::kOn && db_->HasOverlay() &&
-      db_->OverlayLayerIndex(result.result_layer).ok();
-  if (cache_eligible && !subhour_level.empty() && obs_on) {
-    obs::MetricsRegistry::Global()
-        .GetCounter("pietql.aggcache.fallback_subhour")
-        .Add(1);
+  scan::PolygonSet wanted;
+  if (inside_result || passes_through) {
+    wanted = scan::MakePolygonSet(*layer, result.geometry_ids);
   }
-  if (cache_eligible && subhour_level.empty()) {
-    Result<std::shared_ptr<const aggcache::AggCacheEntry>> entry =
-        db_->AggCache(mo.moft, result.result_layer);
-    if (entry.ok()) {
-      const WantedPolygons wp = ResolveWanted(*layer, result.geometry_ids);
-      std::vector<uint8_t> wanted(layer->size(), 0);
-      for (GeometryId id : wp.ids) {
-        wanted[static_cast<size_t>(id)] = 1;
-      }
-      std::optional<aggcache::RegionAggregate> served =
-          entry.ValueOrDie()->RegionAggregates(wanted, when,
-                                               db_->time_dimension());
-      if (served.has_value()) {
-        return ServeAggregateFromCache(mo, *served, std::move(result), trace,
-                                       obs_on);
-      }
+  std::string cache_fallback;
+  if (inside_result && !mo_zero) {
+    scan::CacheServe cache(db_, agg_cache_mode_, mo.moft, result.result_layer,
+                           subhour_level, nullptr);
+    if (std::optional<aggcache::RegionAggregate> served =
+            cache.RegionAggregates(wanted, when)) {
+      return ServeAggregateFromCache(mo, *served, std::move(result), trace,
+                                     obs_on);
     }
+    cache_fallback = cache.subhour_fallback();
   }
   // Build the region C as (Oid, t) tuples. Each branch fans its loop out
   // across the pool in deterministic chunks merged in chunk order, so the
   // tuple sequence is identical to the serial loop for any thread count.
   const int threads = parallel::ResolveThreads(num_threads_);
-  std::vector<std::pair<ObjectId, double>> tuples;
+  const temporal::TimeDimension& dim = db_->time_dimension();
+  Tuples tuples;
   size_t rows_scanned = 0;
   Status fanout_failed;
-  auto merge_tuples = [&](TupleChunk&& chunk) {
-    if (fanout_failed.ok() && !chunk.status.ok()) {
-      fanout_failed = chunk.status;
-    }
-    if (fanout_failed.ok()) {
-      tuples.insert(tuples.end(), chunk.tuples.begin(), chunk.tuples.end());
-    }
-  };
 
   // The span closes before aggregation so moft_intersect and aggregate
   // stay siblings in the tree.
@@ -718,9 +655,9 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
   obs::TraceSpan intersect_span(trace, "moft_intersect");
   intersect_span.Attr("clause", clause);
   intersect_span.Attr("moft", mo.moft);
-  if (cache_eligible && !subhour_level.empty()) {
+  if (!cache_fallback.empty()) {
     // EXPLAIN ANALYZE names the rollup level that forced the scan.
-    intersect_span.Attr("aggcache_fallback", subhour_level);
+    intersect_span.Attr("aggcache_fallback", cache_fallback);
   }
   // Block-store visibility: the window fast paths record zonemap skips
   // into `block_io`; decode work (cold blocks rematerialized by Scan or
@@ -733,251 +670,186 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
                    .Value()
              : 0;
 
-  if (passes_through) {
-    // Trajectory semantics: each maximal inside interval contributes a
-    // tuple stamped at its entry time. The qualifying polygons are
-    // resolved once (ascending id, as the old std::set iterated); each
-    // object's LinearTrajectory construction + InsideIntervals runs on
-    // the pool.
-    const WantedPolygons wanted = ResolveWanted(*layer, result.geometry_ids);
-    // On the rewrite path, each (span, polygon) pair gets an exact batch
-    // prefilter first: a piecewise-linear trajectory shares a point with a
-    // closed polygon iff one of its legs does (a single-sample object: iff
-    // the point is contained), so spans whose legs all miss skip the
-    // InsideIntervals interval construction entirely.
-    std::vector<batch::PolygonBatcher> batchers;
-    if (rewrite_on) {
-      batchers.reserve(wanted.polys.size());
-      for (const geometry::Polygon* p : wanted.polys) {
-        batchers.emplace_back(p);
+  // Rewrite fast path for a pure-window predicate (NEAR, INSIDE RESULT):
+  // binary-search the closed window once per object (SamplesBetween) and
+  // scan only the admitted rows, ascending — the filtered (oid, t) scan
+  // order, with no per-row time test. Absolute rows equal view indices
+  // (and classification hit offsets) only when the view starts at row 0
+  // (it always does today; the guard keeps the full scan otherwise).
+  auto window_rows = [&](const moving::SampleView& samples) {
+    std::optional<std::vector<size_t>> rows;
+    if (rewrite_on && when.window_only() && samples.offset() == 0) {
+      const moving::SampleWindow win = moft->SamplesBetween(
+          when.window()->begin, when.window()->end, &block_io);
+      rows.emplace();
+      rows->reserve(win.size());
+      for (const moving::SampleWindow::Range& r : win.ranges()) {
+        for (size_t row = r.begin; row < r.end; ++row) {
+          rows->push_back(row);
+        }
       }
     }
+    return rows;
+  };
+
+  if (passes_through) {
+    // Trajectory semantics: each maximal inside interval contributes a
+    // tuple stamped at its entry time. On the rewrite path, each (span,
+    // polygon) pair gets an exact batch prefilter first: a piecewise-linear
+    // trajectory shares a point with a closed polygon iff one of its legs
+    // does (a single-sample object: iff the point is contained), so spans
+    // whose legs all miss skip the InsideIntervals construction entirely.
+    std::vector<batch::PolygonBatcher> batchers;
+    if (rewrite_on) {
+      batchers = wanted.Batchers();
+    }
     if (!mo_zero) {
-    // Materialize the columns only on a live scan: a short-circuited
-    // (mo_zero) query must not rematerialize a cold tier just to skip it.
-    const moving::MoftColumns& cols = moft->Columns();
-    rows_scanned = cols.size();
-    parallel::OrderedReduce<TupleChunk>(
-        threads, cols.spans.size(),
-        [&](size_t /*chunk*/, size_t begin, size_t end, TupleChunk* chunk) {
-          chunk->status = [&]() -> Status {
-            for (size_t i = begin; i < end; ++i) {
-              const moving::ObjectSpan span(&cols, cols.spans[i]);
-              ObjectId oid = span.oid();
-              PIET_ASSIGN_OR_RETURN(TrajectorySample sample,
-                                    TrajectorySample::FromSpan(span));
-              PIET_ASSIGN_OR_RETURN(
-                  LinearTrajectory traj,
-                  LinearTrajectory::FromSample(std::move(sample)));
-              Interval domain = traj.TimeDomain();
-              IntervalSet time_ok;
-              if (when.unconstrained()) {
-                time_ok = IntervalSet({domain});
-              } else {
-                PIET_ASSIGN_OR_RETURN(
-                    time_ok,
-                    when.MatchingIntervals(db_->time_dimension(), domain));
-              }
-              if (time_ok.empty()) {
+      // Materialize the columns only on a live scan: a short-circuited
+      // (mo_zero) query must not rematerialize a cold tier just to skip it.
+      const moving::MoftColumns& cols = moft->Columns();
+      rows_scanned = cols.size();
+      fanout_failed = scan::CollectTrajectories(
+          threads, moving::TableBlocks(&cols, nullptr), moving::ZoneFilter(),
+          &when, dim, &tuples, nullptr,
+          [&](const scan::ObjectTrajectory& obj, Tuples* out,
+              EngineStats*) -> Status {
+            const size_t sb = obj.span.begin;
+            const size_t n = obj.span.end - sb;
+            for (size_t qi = 0; qi < wanted.ids.size(); ++qi) {
+              if (rewrite_on &&
+                  (n >= 2 ? !batchers[qi].AnyLegIntersects(
+                                std::span<const double>(cols.x.data() + sb, n),
+                                std::span<const double>(cols.y.data() + sb, n))
+                          : !wanted.polys[qi]->Contains(
+                                geometry::Point(cols.x[sb], cols.y[sb])))) {
                 continue;
               }
-              const size_t sb = cols.spans[i].begin;
-              const size_t se = cols.spans[i].end;
-              for (size_t qi = 0; qi < wanted.ids.size(); ++qi) {
-                if (rewrite_on) {
-                  if (se - sb >= 2) {
-                    if (!batchers[qi].AnyLegIntersects(
-                            std::span<const double>(cols.x.data() + sb,
-                                                    se - sb),
-                            std::span<const double>(cols.y.data() + sb,
-                                                    se - sb))) {
-                      continue;
-                    }
-                  } else if (se - sb == 1 &&
-                             !wanted.polys[qi]->Contains(geometry::Point(
-                                 cols.x[sb], cols.y[sb]))) {
-                    continue;
-                  }
-                }
-                IntervalSet inside =
-                    moving::InsideIntervals(traj, *wanted.polys[qi]);
-                IntervalSet matched = inside.Intersect(time_ok);
-                for (const Interval& iv : matched.intervals()) {
-                  chunk->tuples.emplace_back(oid, iv.begin.seconds);
-                }
+              const IntervalSet matched =
+                  moving::InsideIntervals(obj.traj, *wanted.polys[qi])
+                      .Intersect(obj.time_ok);
+              for (const Interval& iv : matched.intervals()) {
+                out->emplace_back(obj.oid(), iv.begin.seconds);
               }
             }
             return Status::OK();
-          }();
-        },
-        merge_tuples);
+          });
     }
   } else if (near_cond != nullptr) {
     // Sample-proximity semantics: tuples within `radius` of any node of
     // the named layer.
     PIET_ASSIGN_OR_RETURN(const Layer* nodes,
                           db_->gis().GetLayer(near_cond->near_layer));
-    if (nodes->kind() != GeometryKind::kNode &&
-        nodes->kind() != GeometryKind::kPoint) {
-      return Status::InvalidArgument("NEAR needs a point/node layer");
-    }
-    nodes->WarmIndex();
-    double radius = near_cond->radius;
+    PIET_ASSIGN_OR_RETURN(
+        const scan::ProximityProbe probe,
+        scan::ProximityProbe::Make(nodes, near_cond->radius, /*lines=*/false,
+                                   "NEAR needs a point/node layer"));
     if (!mo_zero) {
-    const moving::SampleView samples = moft->Scan();
-    const moving::MoftColumns& cols = *samples.columns();
-    // Rewrite fast path for a pure-window predicate: binary-search the
-    // closed window once per object (SamplesBetween) and scan only the
-    // admitted rows — every one already matches, so the per-row time test
-    // disappears. Row order stays the filtered (oid, t) scan order.
-    std::optional<std::vector<size_t>> win_rows;
-    if (rewrite_on && when.window_only() && samples.offset() == 0) {
-      win_rows = WindowRows(
-          moft->SamplesBetween(when.window()->begin, when.window()->end,
-                               &block_io));
-    }
-    const size_t scan_n = win_rows ? win_rows->size() : samples.size();
-    rows_scanned = scan_n;
-    parallel::OrderedReduce<TupleChunk>(
-        threads, scan_n,
-        [&](size_t /*chunk*/, size_t begin, size_t end, TupleChunk* chunk) {
-          for (size_t i = begin; i < end; ++i) {
-            const moving::Sample s =
-                win_rows ? cols.at((*win_rows)[i]) : samples[i];
-            if (!win_rows && !when.Matches(db_->time_dimension(), s.t)) {
-              continue;
-            }
-            geometry::BoundingBox probe(s.pos.x - radius, s.pos.y - radius,
-                                        s.pos.x + radius, s.pos.y + radius);
-            for (GeometryId id : nodes->CandidatesInBox(probe)) {
-              auto node = nodes->GetPoint(id);
-              if (node.ok() && Distance(node.ValueOrDie(), s.pos) <= radius) {
-                chunk->tuples.emplace_back(s.oid, s.t.seconds);
-                break;
-              }
-            }
-          }
-        },
-        merge_tuples);
-    }
-  } else if (inside_result) {
-    const WantedPolygons wanted = ResolveWanted(*layer, result.geometry_ids);
-    // When the overlay covers the result layer, reuse the cached batched
-    // classification (one point location per sample, shared across
-    // queries) and filter hits against the sorted wanted ids; otherwise
-    // test the resolved polygons directly. Both paths emit one tuple per
-    // sample, even on shared boundaries.
-    if (!mo_zero) {
-    std::shared_ptr<const SampleClassification> cls;
-    if (db_->HasOverlay() &&
-        db_->OverlayLayerIndex(result.result_layer).ok()) {
-      PIET_ASSIGN_OR_RETURN(
-          cls, db_->ClassifySamples(mo.moft, result.result_layer));
-    }
-    const moving::SampleView samples = cls ? cls->samples : moft->Scan();
-    const moving::MoftColumns& cols = *samples.columns();
-    // Rewrite fast path for a pure-window predicate: scan only the rows
-    // the window binary search admits. Classification hit offsets are
-    // indexed by whole-table row, which coincides with the absolute window
-    // rows only when the classified view starts at row 0 (it always does
-    // today; the offset guard keeps the fallback correct if that changes).
-    std::optional<std::vector<size_t>> win_rows;
-    if (rewrite_on && when.window_only() && samples.offset() == 0) {
-      win_rows = WindowRows(
-          moft->SamplesBetween(when.window()->begin, when.window()->end,
-                               &block_io));
-    }
-    const size_t scan_n = win_rows ? win_rows->size() : samples.size();
-    rows_scanned = scan_n;
-    if (cls || !rewrite_on) {
-      parallel::OrderedReduce<TupleChunk>(
-          threads, scan_n,
-          [&](size_t /*chunk*/, size_t begin, size_t end,
-              TupleChunk* chunk) {
+      const moving::SampleView samples = moft->Scan();
+      const moving::MoftColumns& cols = *samples.columns();
+      const std::optional<std::vector<size_t>> win_rows =
+          window_rows(samples);
+      rows_scanned = win_rows ? win_rows->size() : samples.size();
+      fanout_failed = scan::Collect(
+          threads, rows_scanned, &tuples, nullptr,
+          [&](size_t begin, size_t end, Tuples* out,
+              EngineStats* stats) -> Status {
             for (size_t i = begin; i < end; ++i) {
-              const size_t vi = win_rows ? (*win_rows)[i] : i;
-              const moving::Sample s = samples[vi];
-              if (!win_rows && !when.Matches(db_->time_dimension(), s.t)) {
+              const moving::Sample s =
+                  win_rows ? cols.at((*win_rows)[i]) : samples[i];
+              if (!win_rows && !when.Matches(dim, s.t)) {
                 continue;
               }
-              if (cls) {
-                for (uint32_t j = cls->hits.offsets[vi];
-                     j < cls->hits.offsets[vi + 1]; ++j) {
-                  if (wanted.contains(cls->hits.ids[j])) {
-                    chunk->tuples.emplace_back(s.oid, s.t.seconds);
+              probe.ForEachNear(s.pos, &stats->point_tests,
+                                [&](GeometryId /*node*/) {
+                                  out->emplace_back(s.oid, s.t.seconds);
+                                  return false;
+                                });
+            }
+            return Status::OK();
+          });
+    }
+  } else if (inside_result) {
+    // When the overlay covers the result layer, reuse the cached batched
+    // classification (one point location per sample, shared across
+    // queries) and filter hits against the wanted bitmap; otherwise test
+    // the resolved polygons directly. Both paths emit one tuple per
+    // sample, even on shared boundaries.
+    if (!mo_zero) {
+      std::shared_ptr<const SampleClassification> cls;
+      if (db_->HasOverlay() &&
+          db_->OverlayLayerIndex(result.result_layer).ok()) {
+        PIET_ASSIGN_OR_RETURN(
+            cls, db_->ClassifySamples(mo.moft, result.result_layer));
+      }
+      const moving::SampleView samples = cls ? cls->samples : moft->Scan();
+      const moving::MoftColumns& cols = *samples.columns();
+      const std::optional<std::vector<size_t>> win_rows =
+          window_rows(samples);
+      rows_scanned = win_rows ? win_rows->size() : samples.size();
+      if (cls || !rewrite_on) {
+        fanout_failed = scan::Collect(
+            threads, rows_scanned, &tuples, nullptr,
+            [&](size_t begin, size_t end, Tuples* out,
+                EngineStats*) -> Status {
+              for (size_t i = begin; i < end; ++i) {
+                const size_t vi = win_rows ? (*win_rows)[i] : i;
+                const moving::Sample s = samples[vi];
+                if (!win_rows && !when.Matches(dim, s.t)) {
+                  continue;
+                }
+                if (cls) {
+                  for (uint32_t j = cls->hits.offsets[vi];
+                       j < cls->hits.offsets[vi + 1]; ++j) {
+                    if (wanted.contains(cls->hits.ids[j])) {
+                      out->emplace_back(s.oid, s.t.seconds);
+                      break;
+                    }
+                  }
+                  continue;
+                }
+                for (const geometry::Polygon* pg : wanted.polys) {
+                  if (pg->Contains(s.pos)) {
+                    out->emplace_back(s.oid, s.t.seconds);
                     break;
                   }
                 }
-                continue;
               }
-              for (size_t qi = 0; qi < wanted.ids.size(); ++qi) {
-                if (wanted.polys[qi]->Contains(s.pos)) {
-                  chunk->tuples.emplace_back(s.oid, s.t.seconds);
-                  break;
-                }
-              }
-            }
-          },
-          merge_tuples);
-    } else {
-      // Rewrite batch path (no overlay classification): gather each tile's
-      // time-passing samples into dense coordinate columns and run the
-      // batch point-in-polygon kernel once per wanted polygon. Any-hit
-      // across polygons equals the scalar break-on-first-polygon, and each
-      // kernel verdict is bit-identical to Polygon::Contains.
-      std::vector<batch::PolygonBatcher> batchers;
-      batchers.reserve(wanted.polys.size());
-      for (const geometry::Polygon* p : wanted.polys) {
-        batchers.emplace_back(p);
+              return Status::OK();
+            });
+      } else {
+        // Rewrite batch path (no overlay classification): any-hit across
+        // the wanted polygons' batch kernels equals the scalar
+        // break-on-first-polygon.
+        const std::vector<batch::PolygonBatcher> batchers = wanted.Batchers();
+        fanout_failed = scan::Collect(
+            threads, rows_scanned, &tuples, nullptr,
+            [&](size_t begin, size_t end, Tuples* out,
+                EngineStats*) -> Status {
+              scan::TileGatherer tiles(&batchers);
+              tiles.Run(
+                  cols, begin, end,
+                  [&](size_t i) {
+                    return win_rows ? (*win_rows)[i] : i + samples.offset();
+                  },
+                  [&](size_t row) {
+                    return win_rows ||
+                           when.Matches(dim, TimePoint(cols.t[row]));
+                  },
+                  [&](const std::vector<size_t>& rows,
+                      const std::vector<uint8_t>& hit) {
+                    const size_t m = rows.size();
+                    for (size_t k = 0; k < m; ++k) {
+                      for (size_t q = 0; q < batchers.size(); ++q) {
+                        if (hit[q * m + k] != 0) {
+                          out->emplace_back(cols.oid[rows[k]], cols.t[rows[k]]);
+                          break;
+                        }
+                      }
+                    }
+                  });
+              return Status::OK();
+            });
       }
-      parallel::OrderedReduce<TupleChunk>(
-          threads, scan_n,
-          [&](size_t /*chunk*/, size_t begin, size_t end,
-              TupleChunk* chunk) {
-            constexpr size_t kTileRows = 1024;
-            batch::BatchScratch scratch;
-            std::vector<uint8_t> hit;
-            std::vector<uint8_t> any;
-            std::vector<size_t> rows;
-            std::vector<double> tx;
-            std::vector<double> ty;
-            for (size_t base = begin; base < end; base += kTileRows) {
-              const size_t stop = std::min(end, base + kTileRows);
-              rows.clear();
-              tx.clear();
-              ty.clear();
-              for (size_t i = base; i < stop; ++i) {
-                const size_t row =
-                    win_rows ? (*win_rows)[i] : i + samples.offset();
-                if (!win_rows &&
-                    !when.Matches(db_->time_dimension(),
-                                  TimePoint(cols.t[row]))) {
-                  continue;
-                }
-                rows.push_back(row);
-                tx.push_back(cols.x[row]);
-                ty.push_back(cols.y[row]);
-              }
-              if (rows.empty()) {
-                continue;
-              }
-              any.assign(rows.size(), 0);
-              for (const batch::PolygonBatcher& b : batchers) {
-                b.ContainsBatch(tx, ty, &scratch, &hit);
-                for (size_t k = 0; k < rows.size(); ++k) {
-                  any[k] = static_cast<uint8_t>(any[k] | hit[k]);
-                }
-              }
-              for (size_t k = 0; k < rows.size(); ++k) {
-                if (any[k] != 0) {
-                  chunk->tuples.emplace_back(cols.oid[rows[k]],
-                                             cols.t[rows[k]]);
-                }
-              }
-            }
-          },
-          merge_tuples);
-    }
     }
   } else if (!mo_zero) {
     if (rewrite_on && when.window_only()) {
@@ -998,18 +870,18 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
     } else {
       const moving::SampleView samples = moft->Scan();
       rows_scanned = samples.size();
-      parallel::OrderedReduce<TupleChunk>(
-          threads, samples.size(),
-          [&](size_t /*chunk*/, size_t begin, size_t end,
-              TupleChunk* chunk) {
+      fanout_failed = scan::Collect(
+          threads, samples.size(), &tuples, nullptr,
+          [&](size_t begin, size_t end, Tuples* out,
+              EngineStats*) -> Status {
             for (size_t i = begin; i < end; ++i) {
               const moving::Sample s = samples[i];
-              if (when.Matches(db_->time_dimension(), s.t)) {
-                chunk->tuples.emplace_back(s.oid, s.t.seconds);
+              if (when.Matches(dim, s.t)) {
+                out->emplace_back(s.oid, s.t.seconds);
               }
             }
-          },
-          merge_tuples);
+            return Status::OK();
+          });
     }
   }
   if (mo_zero) {
@@ -1048,11 +920,7 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
 
   // Aggregate.
   obs::TraceSpan agg_span(trace, "aggregate");
-  agg_span.Attr("kind",
-                mo.agg.kind == MoAggregate::Kind::kCountAll ? "count_all"
-                : mo.agg.kind == MoAggregate::Kind::kCountDistinctOid
-                    ? "count_distinct_oid"
-                    : "rate_per_hour");
+  agg_span.Attr("kind", AggKindName(mo.agg.kind));
   auto aggregate_tuples =
       [&](const std::vector<std::pair<ObjectId, double>>& rows)
       -> Result<Value> {
@@ -1149,29 +1017,12 @@ Result<QueryResult> Evaluator::ServeAggregateFromCache(
     intersect_span.Attr("tuples", static_cast<uint64_t>(member_samples));
   }
   if (obs_on) {
-    auto& registry = obs::MetricsRegistry::Global();
-    registry.GetCounter("pietql.tuples").Add(member_samples);
-    registry.GetCounter("pietql.aggcache.served").Add(1);
-    registry.GetCounter("pietql.aggcache.cells_interior")
-        .Add(static_cast<int64_t>(st.interior_cells));
-    registry.GetCounter("pietql.aggcache.cells_boundary")
-        .Add(static_cast<int64_t>(st.boundary_cells));
-    registry.GetCounter("pietql.aggcache.cells_skipped")
-        .Add(static_cast<int64_t>(st.skipped_cells));
-    registry.GetCounter("pietql.aggcache.groups_from_partials")
-        .Add(static_cast<int64_t>(st.groups_from_partials));
-    registry.GetCounter("pietql.aggcache.rows_refined")
-        .Add(static_cast<int64_t>(st.rows_refined));
-    registry.GetCounter("pietql.aggcache.fringe_rows")
-        .Add(static_cast<int64_t>(st.fringe_rows));
+    obs::MetricsRegistry::Global().GetCounter("pietql.tuples").Add(
+        member_samples);
   }
 
   obs::TraceSpan agg_span(trace, "aggregate");
-  agg_span.Attr("kind",
-                mo.agg.kind == MoAggregate::Kind::kCountAll ? "count_all"
-                : mo.agg.kind == MoAggregate::Kind::kCountDistinctOid
-                    ? "count_distinct_oid"
-                    : "rate_per_hour");
+  agg_span.Attr("kind", AggKindName(mo.agg.kind));
   if (!mo.group_by_level) {
     // Scalar: Σ samples, |∪ oids|, or Σ|oids_b| / #buckets — each equal to
     // the tuple-scan aggregate because the per-bucket oid lists are exactly

@@ -727,6 +727,56 @@ TEST(DatabaseAggCacheTest, StorageEpochRefreshesEntriesAfterReleaseHot) {
   EXPECT_TRUE(cls2.ValueOrDie()->samples.valid());
 }
 
+TEST(AggCacheEquivalenceTest, ServeResetsEveryEngineCounter) {
+  // A serve pins no block, so after a block-pinning scan the engine's
+  // stats must not carry that scan's block I/O into the served call.
+  auto city = MakeCity(1, /*convex=*/true);
+  TrajectoryConfig traj;
+  traj.seed = 77;
+  traj.num_objects = 200;
+  traj.duration = 7200.0;
+  traj.sample_period = 60.0;
+  traj.speed = 12.0;
+  auto vans = workload::GenerateTrajectories(*city, traj).ValueOrDie();
+  moving::BlockOptions opts;
+  opts.block_rows = 512;
+  opts.compress = true;
+  vans.SetBlockOptions(opts);
+  ASSERT_TRUE(city->db->AddMoft("vans", std::move(vans)).ok());
+  city->db->GetMoft("vans").ValueOrDie()->ReleaseHot();
+
+  QueryEngine engine(city->db.get());
+  engine.set_agg_cache_mode(AggCacheMode::kOn);
+  GeometryPredicate low = GeometryPredicate::AttributeLess("income", 1500.0);
+  ASSERT_TRUE(engine
+                  .SampleRegion("vans", city->neighborhoods_layer, low,
+                                TimePredicate(), Strategy::kNaive)
+                  .ok());
+  ASSERT_GT(engine.stats().blocks.blocks_pinned, 0u);
+
+  auto served = engine.CachedRegionAggregate(
+      "vans", city->neighborhoods_layer, low, TimePredicate());
+  ASSERT_TRUE(served.has_value());
+  EXPECT_EQ(engine.stats().blocks.blocks_pinned, 0u);
+  EXPECT_EQ(engine.stats().blocks.blocks_decoded, 0u);
+  EXPECT_EQ(engine.stats().blocks.blocks_skipped, 0u);
+  EXPECT_EQ(engine.stats().legs_tested, 0u);
+  EXPECT_EQ(engine.stats().samples_scanned,
+            served->stats.rows_refined + served->stats.fringe_rows);
+
+  ASSERT_TRUE(engine
+                  .ObjectsAlwaysWithin("vans", city->neighborhoods_layer, low,
+                                       TimePredicate(), false)
+                  .ok());
+  ASSERT_GT(engine.stats().blocks.blocks_pinned, 0u);
+  ASSERT_TRUE(engine
+                  .CachedObjectsAlwaysWithin("vans", city->neighborhoods_layer,
+                                             low, TimePredicate())
+                  .has_value());
+  EXPECT_EQ(engine.stats().blocks.blocks_pinned, 0u);
+  EXPECT_EQ(engine.stats().blocks.blocks_decoded, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Rewriter: with the cache live, overlay-covered spatial clauses are
 // preferred; exact attribute tests still come first.

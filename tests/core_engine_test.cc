@@ -290,13 +290,42 @@ TEST_F(Figure1Test, ErrorPaths) {
                                 Strategy::kNaive)
                   .status()
                   .IsNotFound());
-  // SampleRegion on a polyline layer is rejected.
-  EXPECT_TRUE(engine
-                  .SampleRegion(scenario_.moft_name, scenario_.streets_layer,
-                                GeometryPredicate::All(), TimePredicate(),
-                                Strategy::kNaive)
-                  .status()
-                  .IsInvalidArgument());
+  // Every polygon-layer method rejects node and line layers.
+  const std::string& moft = scenario_.moft_name;
+  const GeometryPredicate all = GeometryPredicate::All();
+  const TimePredicate any;
+  for (const std::string& layer :
+       {scenario_.schools_layer, scenario_.streets_layer}) {
+    for (Strategy s :
+         {Strategy::kNaive, Strategy::kIndexed, Strategy::kOverlay}) {
+      EXPECT_TRUE(engine.SampleRegion(moft, layer, all, any, s)
+                      .status()
+                      .IsInvalidArgument())
+          << layer << " SampleRegion/" << StrategyToString(s);
+    }
+    EXPECT_TRUE(engine.SnapshotInRegion(moft, layer, all, TimePoint(0))
+                    .status()
+                    .IsInvalidArgument())
+        << layer << " SnapshotInRegion";
+    EXPECT_TRUE(engine.TrajectoryRegion(moft, layer, all, any)
+                    .status()
+                    .IsInvalidArgument())
+        << layer << " TrajectoryRegion";
+    EXPECT_TRUE(engine.TrajectoryAggregates(moft, layer, all)
+                    .status()
+                    .IsInvalidArgument())
+        << layer << " TrajectoryAggregates";
+    EXPECT_TRUE(engine.ObjectsPossiblyWithin(moft, layer, all, 10.0)
+                    .status()
+                    .IsInvalidArgument())
+        << layer << " ObjectsPossiblyWithin";
+    for (bool traj : {false, true}) {
+      EXPECT_TRUE(engine.ObjectsAlwaysWithin(moft, layer, all, any, traj)
+                      .status()
+                      .IsInvalidArgument())
+          << layer << " ObjectsAlwaysWithin traj=" << traj;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

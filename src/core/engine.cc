@@ -448,7 +448,8 @@ Result<FactTable> QueryEngine::TrajectoryNearNodes(
       [&](const ObjectTrajectory& obj, std::vector<Row>* rows,
           EngineStats* stats) -> Status {
         stats->legs_tested += obj.legs();
-        // Candidate nodes: those within radius of the trajectory's bounds.
+        // Candidate nodes: those within radius of the bounds of the legs
+        // the window clip kept.
         geometry::BoundingBox bounds;
         for (const moving::TimedPoint& tp : obj.traj.sample().points()) {
           bounds.ExtendWith(tp.pos);

@@ -699,6 +699,8 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
     // trajectory shares a point with a closed polygon iff one of its legs
     // does (a single-sample object: iff the point is contained), so spans
     // whose legs all miss skip the InsideIntervals construction entirely.
+    // The visitor clips each span to the legs that can meet the time
+    // predicate, so the prefilter walks only those.
     std::vector<batch::PolygonBatcher> batchers;
     if (rewrite_on) {
       batchers = wanted.Batchers();

@@ -32,27 +32,45 @@ PolygonSet MakePolygonSet(const gis::Layer& layer,
   return out;
 }
 
-Result<ObjectTrajectory> MakeTrajectory(const moving::MoftColumns& data,
-                                        const moving::MoftColumns::Span& span,
-                                        const TimePredicate* when,
-                                        const temporal::TimeDimension& dim) {
+Result<std::optional<ObjectTrajectory>> MakeTrajectory(
+    const moving::MoftColumns& data, const moving::MoftColumns::Span& span,
+    const TimePredicate* when, const temporal::TimeDimension& dim) {
+  moving::MoftColumns::Span rows = span;
+  temporal::IntervalSet time_ok;
+  if (when != nullptr && span.begin < span.end) {
+    const temporal::Interval domain(temporal::TimePoint(data.t[span.begin]),
+                                    temporal::TimePoint(data.t[span.end - 1]));
+    if (when->unconstrained()) {
+      time_ok = temporal::IntervalSet({domain});
+    } else {
+      PIET_ASSIGN_OR_RETURN(time_ok, when->MatchingIntervals(dim, domain));
+    }
+    if (time_ok.empty()) {
+      return std::optional<ObjectTrajectory>();
+    }
+    // time_ok lies inside the domain, so the first row at or after the
+    // hull's start and the first row after its end bracket the kept legs:
+    // leg k stays iff t_{k+1} >= hull.begin and t_k <= hull.end.
+    const double* t = data.t.data();
+    const size_t first = static_cast<size_t>(
+        std::lower_bound(t + span.begin, t + span.end,
+                         time_ok.intervals().front().begin.seconds) -
+        t);
+    const size_t past = static_cast<size_t>(
+        std::upper_bound(t + first, t + span.end,
+                         time_ok.intervals().back().end.seconds) -
+        t);
+    rows.begin = std::max(span.begin + 1, first) - 1;
+    rows.end = std::min(span.end, past + 1);
+  }
   PIET_ASSIGN_OR_RETURN(
       moving::TrajectorySample sample,
-      moving::TrajectorySample::FromSpan(moving::ObjectSpan(&data, span)));
+      moving::TrajectorySample::FromSpan(moving::ObjectSpan(&data, rows)));
   PIET_ASSIGN_OR_RETURN(
       moving::LinearTrajectory traj,
       moving::LinearTrajectory::FromSample(std::move(sample)));
-  ObjectTrajectory out{span, std::move(traj), {}};
-  if (when == nullptr) {
-    return out;
-  }
-  const temporal::Interval domain = out.traj.TimeDomain();
-  if (when->unconstrained()) {
-    out.time_ok = temporal::IntervalSet({domain});
-  } else {
-    PIET_ASSIGN_OR_RETURN(out.time_ok, when->MatchingIntervals(dim, domain));
-  }
-  return out;
+  return std::optional<ObjectTrajectory>(
+      ObjectTrajectory{rows, std::move(traj), std::move(time_ok)});
 }
 
 Result<ProximityProbe> ProximityProbe::Make(const gis::Layer* layer,

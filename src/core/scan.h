@@ -99,29 +99,37 @@ Status Collect(int threads, size_t n, Sink* out, EngineStats* stats,
 
 /// 3. One object's linear-interpolation trajectory (LIT) and its span.
 struct ObjectTrajectory {
+  /// The rows the LIT was built from: the whole object span, or with a
+  /// time predicate only the legs that can meet `time_ok`.
   moving::MoftColumns::Span span;
   moving::LinearTrajectory traj;
-  /// The time-matching part of the LIT's domain; computed only when the
-  /// visitor was given a time predicate.
+  /// The time-matching part of the object's whole time domain; computed
+  /// only when the visitor was given a time predicate.
   temporal::IntervalSet time_ok;
 
   moving::ObjectId oid() const { return span.oid; }
-  /// Interpolation legs (samples - 1).
+  /// Interpolation legs of `traj` (samples - 1).
   size_t legs() const { return span.end - span.begin - 1; }
 };
 
-/// Builds the LIT of one span and, when `when` is non-null, its
-/// time-matching intervals.
-Result<ObjectTrajectory> MakeTrajectory(const moving::MoftColumns& data,
-                                        const moving::MoftColumns::Span& span,
-                                        const TimePredicate* when,
-                                        const temporal::TimeDimension& dim);
+/// Builds the LIT of one span. With a time predicate `when`, first
+/// computes its time-matching intervals over the span's domain
+/// [t_first, t_last] and returns nullopt when they are empty; otherwise
+/// the LIT covers only the legs whose closed interval [t_k, t_{k+1}]
+/// meets the closed hull [time_ok.front().begin, time_ok.back().end]
+/// (two binary searches on the time column). Every other leg yields only
+/// pieces outside that hull, so any kernel result intersected with
+/// `time_ok` is the one the whole LIT gives (DESIGN.md §8).
+Result<std::optional<ObjectTrajectory>> MakeTrajectory(
+    const moving::MoftColumns& data, const moving::MoftColumns::Span& span,
+    const TimePredicate* when, const temporal::TimeDimension& dim);
 
 /// The per-object trajectory visitor, fanned out like Collect over every
 /// object span of `blocks`: for each span whose block `filter` admits,
-/// builds the LIT and calls visit(obj, &rows, &stats) -> Status, skipping
-/// objects with no time-matching instant when `when` is non-null. Block
-/// I/O is counted into the chunk stats; the first failure stops the chunk.
+/// builds the (window-clipped) LIT and calls visit(obj, &rows, &stats) ->
+/// Status, skipping objects with no time-matching instant when `when` is
+/// non-null. Block I/O is counted into the chunk stats; the first failure
+/// stops the chunk.
 template <typename Sink, typename Visit>
 Status CollectTrajectories(int threads, const moving::TableBlocks& blocks,
                            const moving::ZoneFilter& filter,
@@ -136,12 +144,9 @@ Status CollectTrajectories(int threads, const moving::TableBlocks& blocks,
             begin, end, filter, &chunk_stats->blocks,
             [&](const moving::MoftColumns& data,
                 const moving::MoftColumns::Span& span) -> Status {
-              PIET_ASSIGN_OR_RETURN(ObjectTrajectory obj,
+              PIET_ASSIGN_OR_RETURN(std::optional<ObjectTrajectory> obj,
                                     MakeTrajectory(data, span, when, dim));
-              if (when != nullptr && obj.time_ok.empty()) {
-                return Status::OK();
-              }
-              return visit(obj, rows, chunk_stats);
+              return obj ? visit(*obj, rows, chunk_stats) : Status::OK();
             });
       });
 }

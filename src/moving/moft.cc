@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <istream>
 #include <limits>
@@ -94,6 +95,17 @@ Status Moft::Add(ObjectId oid, TimePoint t, geometry::Point pos) {
   if (read_only_) {
     return Status::InvalidArgument(
         "Moft opened from a block file is read-only");
+  }
+  if (!std::isfinite(t.seconds) || !std::isfinite(pos.x) ||
+      !std::isfinite(pos.y)) {
+    if (obs::Enabled()) {
+      obs::MetricsRegistry::Global()
+          .GetCounter("moft.nonfinite_rejected")
+          .Add(1);
+    }
+    return Status::InvalidArgument(
+        "object " + std::to_string(oid) +
+        " sample has a non-finite timestamp or position");
   }
   auto [it, inserted] = index_.try_emplace(SampleKey{oid, t.seconds}, pos);
   if (!inserted) {

@@ -29,6 +29,8 @@ namespace piet::moving {
 ///
 /// Duplicate (Oid, t) pairs are rejected at Add time (an object is at one
 /// place at a time); re-adding an identical observation is idempotent.
+/// Non-finite samples are rejected too, so every sealed time column is
+/// strictly increasing per object.
 ///
 /// Thread safety: concurrent const reads are safe (sealing is internally
 /// synchronized and happens at most once per mutation); `Add` must not run
@@ -75,7 +77,8 @@ class Moft {
 
   /// Appends an observation. Out-of-order inserts are fine (sorted at the
   /// next seal); a second observation of the same object at the same
-  /// instant must agree on the position.
+  /// instant must agree on the position. A NaN or infinite t, x or y is
+  /// refused with InvalidArgument (counted as moft.nonfinite_rejected).
   Status Add(ObjectId oid, temporal::TimePoint t, geometry::Point pos);
 
   size_t num_samples() const { return size_; }

@@ -32,8 +32,17 @@ bool PassesThrough(const LinearTrajectory& trajectory,
 temporal::Duration TimeInRegion(const LinearTrajectory& trajectory,
                                 const geometry::Polygon& region);
 
+/// True when no point of `leg` can come within `radius` of `center`: the
+/// leg's bounding box, grown by |radius| plus a slack of 1e-6 times the
+/// magnitudes involved, misses the center on some axis. The slack is far
+/// above the rounding of SegmentWithinDistanceIntervals, so that kernel
+/// returns nothing for any leg this rejects. False for NaN/inf inputs.
+bool LegOutOfReach(const LinearTrajectory::Leg& leg, geometry::Point center,
+                   double radius);
+
 /// The time intervals during which the trajectory is within `radius` of
-/// `center` (query 6: "within 100 m of a school").
+/// `center` (query 6: "within 100 m of a school"). Legs LegOutOfReach
+/// rejects are skipped without running the kernel.
 temporal::IntervalSet WithinDistanceIntervals(
     const LinearTrajectory& trajectory, geometry::Point center, double radius);
 

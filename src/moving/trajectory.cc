@@ -93,15 +93,6 @@ std::optional<Point> LinearTrajectory::PositionAt(TimePoint t) const {
   return leg.At(t);
 }
 
-std::vector<LinearTrajectory::Leg> LinearTrajectory::Legs() const {
-  std::vector<Leg> out;
-  const auto& pts = sample_.points();
-  for (size_t i = 1; i < pts.size(); ++i) {
-    out.push_back({pts[i - 1].t, pts[i].t, pts[i - 1].pos, pts[i].pos});
-  }
-  return out;
-}
-
 double LinearTrajectory::Length() const {
   double total = 0.0;
   const auto& pts = sample_.points();

@@ -1,6 +1,8 @@
 #ifndef PIET_MOVING_TRAJECTORY_H_
 #define PIET_MOVING_TRAJECTORY_H_
 
+#include <cstddef>
+#include <iterator>
 #include <optional>
 #include <vector>
 
@@ -84,6 +86,50 @@ class LinearTrajectory : public Trajectory {
     geometry::Point At(temporal::TimePoint t) const;
   };
 
+  /// Non-owning view of the interpolation legs: leg i joins sample points
+  /// i and i+1 and is built on access, so walking the legs allocates
+  /// nothing. Borrows the trajectory; must not outlive it.
+  class LegRange {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = Leg;
+      using difference_type = std::ptrdiff_t;
+      using pointer = void;
+      using reference = Leg;
+
+      iterator() = default;
+      explicit iterator(const TimedPoint* p) : p_(p) {}
+
+      Leg operator*() const {
+        return {p_[0].t, p_[1].t, p_[0].pos, p_[1].pos};
+      }
+      iterator& operator++() {
+        ++p_;
+        return *this;
+      }
+      friend bool operator==(iterator a, iterator b) { return a.p_ == b.p_; }
+      friend bool operator!=(iterator a, iterator b) { return !(a == b); }
+
+     private:
+      const TimedPoint* p_ = nullptr;
+    };
+
+    LegRange(const TimedPoint* points, size_t num_points)
+        : points_(points), size_(num_points >= 2 ? num_points - 1 : 0) {}
+
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    Leg operator[](size_t i) const { return *iterator(points_ + i); }
+    iterator begin() const { return iterator(points_); }
+    iterator end() const { return iterator(points_ + size_); }
+
+   private:
+    const TimedPoint* points_;
+    size_t size_;
+  };
+
   /// Requires >= 1 point.
   static Result<LinearTrajectory> FromSample(TrajectorySample sample);
 
@@ -93,7 +139,9 @@ class LinearTrajectory : public Trajectory {
 
   const TrajectorySample& sample() const { return sample_; }
   /// The N interpolation legs (size()-1 of them).
-  std::vector<Leg> Legs() const;
+  LegRange Legs() const {
+    return LegRange(sample_.points().data(), sample_.size());
+  }
 
   /// Total travelled distance (sum of leg lengths).
   double Length() const;

@@ -15,6 +15,7 @@
 #include "gis/schema.h"
 #include "moving/moft.h"
 #include "moving/trajectory.h"
+#include "moving_test_util.h"
 #include "workload/scenario.h"
 
 namespace piet::analysis {
@@ -168,17 +169,30 @@ TEST(ModelCheckTest, SampleStreamViolationsFire) {
 }
 
 TEST(ModelCheckTest, NonFiniteCoordsFireOnRealMoft) {
-  // Moft::Add enforces ordering and duplicates, but NaN positions get
-  // through — exactly the corruption CheckMoft must catch.
+  // Moft::Add refuses NaN/inf samples outright...
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   moving::Moft moft;
   ASSERT_TRUE(moft.Add(1, temporal::TimePoint(0.0), {0, 0}).ok());
-  ASSERT_TRUE(moft.Add(1, temporal::TimePoint(1.0),
-                       {std::numeric_limits<double>::quiet_NaN(), 2.0})
-                  .ok());
+  EXPECT_TRUE(
+      moft.Add(1, temporal::TimePoint(1.0), {nan, 2.0}).IsInvalidArgument());
+  EXPECT_TRUE(
+      moft.Add(1, temporal::TimePoint(2.0), {0, -inf}).IsInvalidArgument());
+  EXPECT_TRUE(
+      moft.Add(1, temporal::TimePoint(nan), {0, 0}).IsInvalidArgument());
+  EXPECT_EQ(moft.num_samples(), 1u);
+  DiagnosticList clean;
+  ModelChecker().CheckMoft("FMbus", moft, &clean);
+  EXPECT_FALSE(clean.Has("moft-finite-coords")) << clean.ToString();
 
+  // ...so a non-finite value reaches a real Moft only through a corrupted
+  // block file, and CheckMoft must still catch it there.
+  auto corrupt = moving::OpenMoftWithNanX(::testing::TempDir() +
+                                          "model_check_nan_x.blk");
+  ASSERT_TRUE(corrupt.ok()) << corrupt.status().ToString();
   ModelChecker checker;
   DiagnosticList out;
-  checker.CheckMoft("FMbus", moft, &out);
+  checker.CheckMoft("FMbus", corrupt.ValueOrDie(), &out);
   EXPECT_TRUE(out.Has("moft-finite-coords")) << out.ToString();
 }
 

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "core/pietql/evaluator.h"
 #include "core/pietql/parser.h"
 #include "moving/moft.h"
+#include "moving_test_util.h"
 #include "workload/scenario.h"
 
 namespace piet::analysis {
@@ -194,26 +194,25 @@ TEST_F(QueryCheckTest, StrictModeAcceptsCleanQueries) {
 // --- Database load-path wiring ---
 
 TEST_F(QueryCheckTest, StrictLoadRejectsCorruptMoft) {
-  moving::Moft bad;
-  ASSERT_TRUE(bad.Add(1, temporal::TimePoint(0.0), {0, 0}).ok());
-  ASSERT_TRUE(bad.Add(1, temporal::TimePoint(1.0),
-                      {std::numeric_limits<double>::quiet_NaN(), 0})
-                  .ok());
+  // Moft::Add refuses NaN samples, so the corrupt table comes from a
+  // block file whose first x was overwritten with a NaN.
+  auto bad = moving::OpenMoftWithNanX(::testing::TempDir() +
+                                      "strict_load_nan_x.blk");
+  ASSERT_TRUE(bad.ok()) << bad.status().ToString();
 
   scenario_.db->set_check_mode(CheckMode::kStrict);
-  Status status = scenario_.db->AddMoft("bad", std::move(bad));
+  Status status = scenario_.db->AddMoft("bad", std::move(bad).ValueOrDie());
   ASSERT_TRUE(status.IsInvalidArgument()) << status.ToString();
   EXPECT_NE(status.message().find("moft-finite-coords"), std::string::npos);
   EXPECT_TRUE(scenario_.db->GetMoft("bad").status().IsNotFound());
 
   // kWarn records the finding but loads the MOFT.
-  moving::Moft bad2;
-  ASSERT_TRUE(bad2.Add(1, temporal::TimePoint(0.0), {0, 0}).ok());
-  ASSERT_TRUE(bad2.Add(1, temporal::TimePoint(1.0),
-                       {std::numeric_limits<double>::quiet_NaN(), 0})
-                  .ok());
+  auto bad2 = moving::OpenMoftWithNanX(::testing::TempDir() +
+                                       "warn_load_nan_x.blk");
+  ASSERT_TRUE(bad2.ok()) << bad2.status().ToString();
   scenario_.db->set_check_mode(CheckMode::kWarn);
-  ASSERT_TRUE(scenario_.db->AddMoft("bad", std::move(bad2)).ok());
+  ASSERT_TRUE(
+      scenario_.db->AddMoft("bad", std::move(bad2).ValueOrDie()).ok());
   EXPECT_TRUE(
       scenario_.db->last_load_diagnostics().Has("moft-finite-coords"));
   EXPECT_TRUE(scenario_.db->GetMoft("bad").ok());

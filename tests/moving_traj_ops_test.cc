@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "common/random.h"
 #include "geometry/polygon.h"
+#include "geometry/segment_polygon.h"
 #include "moving/bead.h"
 #include "moving/traj_ops.h"
+#include "moving_test_util.h"
 
 namespace piet::moving {
 namespace {
@@ -121,6 +129,113 @@ TEST(WithinDistanceIntervalsTest, PassNearPoint) {
   // Within distance 5 of (0,3): |x| <= 4 -> t in [6, 14].
   EXPECT_NEAR(near.intervals()[0].begin.seconds, 6.0, 1e-9);
   EXPECT_NEAR(near.intervals()[0].end.seconds, 14.0, 1e-9);
+}
+
+TEST(WithinDistanceIntervalsTest, NodeAtExactlyRadiusFromLegEndpoint) {
+  LinearTrajectory lit = FromPoints({{TimePoint(0), {0, 0}},
+                                     {TimePoint(10), {10, 0}},
+                                     {TimePoint(20), {10, 10}}});
+  // (-5, 0) touches the start point only; (15, 10) touches the end point.
+  for (const auto& [node, at] :
+       {std::pair<Point, double>{{-5, 0}, 0.0}, {{15, 10}, 20.0}}) {
+    const IntervalSet near = WithinDistanceIntervals(lit, node, 5.0);
+    EXPECT_EQ(near, WithinDistanceUnfiltered(lit, node, 5.0));
+    EXPECT_EQ(near, IntervalSet({Interval(TimePoint(at), TimePoint(at))}))
+        << near.ToString();
+  }
+  // The touching leg survives the prefilter; the far leg is skipped.
+  EXPECT_FALSE(LegOutOfReach(lit.Legs()[0], {-5, 0}, 5.0));
+  EXPECT_TRUE(LegOutOfReach(lit.Legs()[1], {-5, 0}, 5.0));
+}
+
+TEST(WithinDistanceIntervalsTest, TangentLegGivesPointInterval) {
+  // The leg y = 0 is tangent to the radius-5 circle around (5, 5) at x = 5,
+  // reached at t = 5.
+  LinearTrajectory lit =
+      FromPoints({{TimePoint(0), {0, 0}}, {TimePoint(10), {10, 0}}});
+  const IntervalSet near = WithinDistanceIntervals(lit, {5, 5}, 5.0);
+  EXPECT_EQ(near, WithinDistanceUnfiltered(lit, {5, 5}, 5.0));
+  EXPECT_EQ(near, IntervalSet({Interval(TimePoint(5), TimePoint(5))}))
+      << near.ToString();
+  EXPECT_FALSE(LegOutOfReach(lit.Legs()[0], {5, 5}, 5.0));
+}
+
+TEST(WithinDistanceIntervalsTest, NodeJustOutsideTheGrownBox) {
+  LinearTrajectory lit =
+      FromPoints({{TimePoint(0), {0, 0}}, {TimePoint(10), {10, 0}}});
+  const LinearTrajectory::Leg leg = lit.Legs()[0];
+  // Walk the node up from the tangent point until the prefilter rejects
+  // the leg: the last kept and the first skipped position both give the
+  // unfiltered answer (empty once past the radius).
+  Point node(5, 5);
+  for (int step = 0; step < 100000 && !LegOutOfReach(leg, node, 5.0);
+       ++step) {
+    const Point next(5, node.y + 1e-7);
+    EXPECT_EQ(WithinDistanceIntervals(lit, next, 5.0),
+              WithinDistanceUnfiltered(lit, next, 5.0));
+    node = next;
+  }
+  const Point outside(5, std::nextafter(node.y, 100.0));
+  EXPECT_TRUE(LegOutOfReach(leg, outside, 5.0));
+  EXPECT_TRUE(WithinDistanceIntervals(lit, outside, 5.0).empty());
+  EXPECT_TRUE(WithinDistanceUnfiltered(lit, outside, 5.0).empty());
+  // The box is grown on both axes, and the slack stays tiny (1e-6 scale).
+  EXPECT_LT(node.y - 5.0, 1e-4);
+  EXPECT_TRUE(LegOutOfReach(leg, {-5.0 - 1e-3, 0}, 5.0));
+  EXPECT_FALSE(LegOutOfReach(leg, {-5.0, 0}, 5.0));
+  // Non-finite input never skips a leg.
+  EXPECT_FALSE(
+      LegOutOfReach(leg, {5, 50}, std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_FALSE(
+      LegOutOfReach(leg, {5, 50}, std::numeric_limits<double>::infinity()));
+}
+
+TEST(WithinDistanceIntervalsTest, PrefilterSkipsOnlyEmptyLegs) {
+  // For random legs (axis-aligned, diagonal and stationary; coordinates up
+  // to 1e6 from the origin), bisect the node position along one axis to
+  // the exact point where LegOutOfReach starts to skip the leg: the kernel
+  // must already return nothing there.
+  Random rng(1313);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const double offset = rng.UniformDouble(-1e6, 1e6);
+    const Point a(offset + rng.UniformDouble(-100, 100),
+                  offset + rng.UniformDouble(-100, 100));
+    Point b(a.x + rng.UniformDouble(-100, 100),
+            a.y + rng.UniformDouble(-100, 100));
+    switch (trial % 4) {
+      case 0: b.y = a.y; break;  // Horizontal.
+      case 1: b.x = a.x; break;  // Vertical.
+      case 2: b = a; break;      // Stationary.
+      default: break;            // Diagonal.
+    }
+    const LinearTrajectory::Leg leg{TimePoint(0), TimePoint(60), a, b};
+    const double r = rng.UniformDouble(1e-3, 50);
+    // Start inside the leg's box, move away along +-x or +-y.
+    const double u = rng.UniformDouble(0, 1);
+    const Point inside = a + (b - a) * u;
+    const int axis = static_cast<int>(rng.UniformInt(0, 3));
+    const Point dir = axis == 0   ? Point(1, 0)
+                      : axis == 1 ? Point(-1, 0)
+                      : axis == 2 ? Point(0, 1)
+                                  : Point(0, -1);
+    double lo = 0.0;
+    double hi = 1e3;
+    ASSERT_FALSE(LegOutOfReach(leg, inside, r));
+    ASSERT_TRUE(LegOutOfReach(leg, inside + dir * hi, r));
+    for (int it = 0; it < 200 && lo < hi; ++it) {
+      const double mid = lo + (hi - lo) / 2;
+      if (mid <= lo || mid >= hi) {
+        break;
+      }
+      (LegOutOfReach(leg, inside + dir * mid, r) ? hi : lo) = mid;
+    }
+    const Point node = inside + dir * hi;
+    ASSERT_TRUE(LegOutOfReach(leg, node, r));
+    EXPECT_TRUE(
+        geometry::SegmentWithinDistanceIntervals(leg.AsSegment(), node, r)
+            .empty())
+        << "trial " << trial;
+  }
 }
 
 TEST(BeadTest, CreateValidation) {

@@ -2,10 +2,11 @@
 // (kOn) end-to-end Piet-QL latency, one pair of series per query type.
 //
 // Shape goals: the rewritten plan is result-bit-identical (checked here at
-// startup and property-tested in tests/analysis_rewrite_test.cc); the wins
-// come from the window fast paths (binary search instead of a full scan),
-// the batch geometry kernels, and the empty-time / empty-region constant
-// folds, which skip the tuple scan outright.
+// startup and property-tested in tests/analysis_rewrite_test.cc). Both
+// modes run the same scan operators (window ranges, batch geometry
+// kernels), so the wins come from the plan rules alone: rollup equalities
+// folded into a window, and the empty-time / empty-region constant folds,
+// which skip the tuple scan outright.
 
 #include <benchmark/benchmark.h>
 

@@ -60,6 +60,17 @@ if grep -n -E "TrajectorySample::FromSpan\(|parallel::OrderedReduce" \
   exit 1
 fi
 
+# Kernel choice lives in the region-C operators of src/core/scan.{h,cc}:
+# the front-ends pass row sources and emit callbacks, and never pick the
+# batch point-in-polygon tiles, the leg prefilter or the window ranges
+# themselves.
+if grep -n -E "TileGatherer|\.Batchers\(|AnyLegIntersects|SamplesBetween\(" \
+     src/core/engine.cc src/core/pietql/*; then
+  echo "error: QueryEngine and the Piet-QL evaluator choose no kernel;" \
+       "use the region-C operators of src/core/scan.h" >&2
+  exit 1
+fi
+
 echo "== configure (${BUILD_DIR}, -Werror) =="
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=Release \

@@ -381,7 +381,9 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
   }
   const bool time_bottom = abstract.IsBottom();
 
-  const bool win_path = catalog.rewrite_on && shape.window_only();
+  // The sample clauses of a pure window read the SamplesBetween ranges in
+  // every rewrite mode; PASSES THROUGH always scans every object.
+  const bool win_path = !passes_through && shape.window_only();
   const WindowRowMath wm_last =
       shape.window ? ReplayZoneFilter(st, shape.window->begin.seconds,
                                       shape.window->end.seconds)
@@ -411,14 +413,9 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
 
   // rows_scanned.
   if (!mo_zero) {
-    if (passes_through) {
-      est.rows_scanned = EstInterval{rows_n, rows_n};
-    } else if (win_path) {
-      est.rows_scanned =
-          EstInterval{wm_last.full_rows, wm_last.admitted_rows};
-    } else {
-      est.rows_scanned = EstInterval{rows_n, rows_n};
-    }
+    est.rows_scanned =
+        win_path ? EstInterval{wm_last.full_rows, wm_last.admitted_rows}
+                 : EstInterval{rows_n, rows_n};
     if (serve_possible) {
       // Interior cells served from partials scan nothing.
       est.rows_scanned.lo = 0;

@@ -15,7 +15,6 @@ using moving::Moft;
 using moving::MoftColumns;
 using moving::ObjectId;
 using moving::Sample;
-using moving::SampleView;
 using olap::FactTable;
 using olap::Row;
 using scan::ObjectTrajectory;
@@ -36,40 +35,6 @@ std::string_view StrategyToString(Strategy s) {
 }
 
 namespace {
-
-/// The engine's row fan-out over the blocks `filter` admits: every visited
-/// row counts as scanned, and emit(data, i, &rows, &stats) runs for each
-/// row matching `when`.
-///
-/// Zonemap filters hold the query's time window (conjunctive with any
-/// rollup constraints, so rows outside it can never match) plus, when the
-/// query only produces rows for samples inside qualifying polygons, the
-/// union of their bounding boxes. Blocks a filter rules out are skipped
-/// wholesale — their rows are not scanned and not counted. With zero
-/// qualifying polygons the union box is empty and every block is skipped,
-/// matching the empty result the scan would produce.
-template <typename Emit>
-Status CollectRows(int threads, const moving::TableBlocks& blocks,
-                   const moving::ZoneFilter& filter, const TimePredicate& when,
-                   const temporal::TimeDimension& dim, FactTable* out,
-                   EngineStats* stats, const Emit& emit) {
-  return scan::Collect(
-      threads, blocks.total_rows(), out, stats,
-      [&](size_t begin, size_t end, std::vector<Row>* rows,
-          EngineStats* chunk_stats) -> Status {
-        return blocks.ForEachRowRange(
-            begin, end, filter, &chunk_stats->blocks,
-            [&](const MoftColumns& data, size_t lb, size_t le) -> Status {
-              for (size_t i = lb; i < le; ++i) {
-                ++chunk_stats->samples_scanned;
-                if (when.Matches(dim, TimePoint(data.t[i]))) {
-                  emit(data, i, rows, chunk_stats);
-                }
-              }
-              return Status::OK();
-            });
-      });
-}
 
 /// The preamble of every polygon-layer method: `layer_name` must name a
 /// polygon layer; resolves its `pred`-qualifying polygons.
@@ -164,39 +129,19 @@ Result<olap::FactTable> QueryEngine::SamplesMatchingTime(
   PIET_ASSIGN_OR_RETURN(const Moft* moft, db_->GetMoft(moft_name));
   const int threads = parallel::ResolveThreads(num_threads_);
   FactTable out = FactTable::Make({"Oid", "t", "x", "y"}, {});
-  auto emit = [](const MoftColumns& cols, size_t i, std::vector<Row>* rows) {
-    rows->push_back({Value(cols.oid[i]), Value(cols.t[i]), Value(cols.x[i]),
-                     Value(cols.y[i])});
-  };
-  if (when.window_only()) {
-    // Pure time-window predicate: binary search on the sorted time column
-    // instead of probing every row. The matching rows come back as
-    // per-object column ranges already in (oid, t) order, so fanning out
-    // over ranges reproduces the serial row order exactly.
-    const Interval& w = *when.window();
-    const moving::SampleWindow window =
-        moft->SamplesBetween(w.begin, w.end, &stats_.blocks);
-    const std::vector<moving::SampleWindow::Range>& ranges = window.ranges();
-    const MoftColumns& cols = *window.columns();
-    PIET_RETURN_NOT_OK(scan::Collect(
-        threads, ranges.size(), &out, &stats_,
-        [&](size_t begin, size_t end, std::vector<Row>* rows,
-            EngineStats* stats) -> Status {
-          for (size_t r = begin; r < end; ++r) {
-            for (size_t i = ranges[r].begin; i < ranges[r].end; ++i) {
-              ++stats->samples_scanned;
-              emit(cols, i, rows);
-            }
-          }
-          return Status::OK();
-        }));
-  } else {
-    PIET_RETURN_NOT_OK(CollectRows(
-        threads, moft->Blocks(), moving::ZoneFilter{when.window(), {}}, when,
-        db_->time_dimension(), &out, &stats_,
-        [&](const MoftColumns& data, size_t i, std::vector<Row>* rows,
-            EngineStats*) { emit(data, i, rows); }));
-  }
+  // A pure window reads the SamplesBetween ranges: one binary search per
+  // object instead of a per-row time test, rows still in (oid, t) order.
+  const scan::RowSource rows = scan::RowSource::ForTime(
+      *moft, when,
+      scan::RowSource(moft->Blocks(), moving::ZoneFilter{when.window(), {}}),
+      &stats_.blocks);
+  PIET_RETURN_NOT_OK(scan::TimeRows(
+      threads, rows, when, db_->time_dimension(), &out, &stats_,
+      [](const MoftColumns& cols, size_t i, std::vector<Row>* out_rows,
+         EngineStats*) {
+        out_rows->push_back({Value(cols.oid[i]), Value(cols.t[i]),
+                             Value(cols.x[i]), Value(cols.y[i])});
+      }));
   query_obs.set_rows_matched(out.num_rows());
   return out;
 }
@@ -215,6 +160,12 @@ Result<FactTable> QueryEngine::SampleRegion(const std::string& moft_name,
   const temporal::TimeDimension& dim = db_->time_dimension();
   FactTable out = FactTable::Make({"Oid", "t", "geom"}, {});
 
+  // Every (sample, qualifying polygon) containment is a row.
+  auto emit = [](ObjectId oid, double t, GeometryId g,
+                 std::vector<Row>* rows) {
+    rows->push_back({Value(oid), Value(t), Value(g)});
+    return true;
+  };
   if (strategy == Strategy::kOverlay) {
     // The Sec. 5 fast path: the (MOFT, overlay-layer) classification is
     // predicate- and time-independent, so it is computed once (batched
@@ -225,86 +176,38 @@ Result<FactTable> QueryEngine::SampleRegion(const std::string& moft_name,
     PIET_ASSIGN_OR_RETURN(
         std::shared_ptr<const SampleClassification> cls,
         db_->ClassifySamples(moft_name, layer_name));
-    const SampleView samples = cls->samples;
-    const gis::BatchHits& hits = cls->hits;
-    PIET_RETURN_NOT_OK(scan::Collect(
-        threads, samples.size(), &out, &stats_,
-        [&](size_t begin, size_t end, std::vector<Row>* rows,
-            EngineStats* stats) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            const Sample s = samples[i];
-            ++stats->samples_scanned;
-            if (!when.Matches(dim, s.t)) {
-              continue;
-            }
-            for (uint32_t j = hits.offsets[i]; j < hits.offsets[i + 1];
-                 ++j) {
-              if (polys.contains(hits.ids[j])) {
-                rows->push_back(
-                    {Value(s.oid), Value(s.t.seconds), Value(hits.ids[j])});
-              }
-            }
-          }
-          return Status::OK();
-        }));
+    PIET_RETURN_NOT_OK(scan::SampleLocate(
+        threads,
+        scan::RowSource(moving::TableBlocks(cls->samples.columns(), nullptr),
+                        moving::ZoneFilter()),
+        when, dim, polys, cls.get(), &out, &stats_, emit));
     query_obs.set_rows_matched(out.num_rows());
     return out;
   }
 
-  const moving::TableBlocks blocks = moft->Blocks();
-  const moving::ZoneFilter filter{when.window(), polys.bounds};
+  // The zonemap filter holds the time window (rows outside it never match)
+  // and the union of the qualifying polygons' bounds (only rows inside one
+  // produce output); with no qualifying polygon that box is empty and
+  // every block is skipped, unscanned and uncounted.
+  const scan::RowSource rows(moft->Blocks(),
+                             moving::ZoneFilter{when.window(), polys.bounds});
   if (strategy == Strategy::kNaive) {
-    // Batch point-in-polygon over tiles of time-passing samples. Verdicts
-    // are bit-identical to Polygon::Contains, rows come out in the scalar
-    // (sample, qualifying-polygon) order, and point_tests counts the same
-    // logical sample-times-polygon probes the naive loop performs (it has
-    // no early exit).
-    const std::vector<batch::PolygonBatcher> batchers = polys.Batchers();
-    const size_t nq = batchers.size();
-    PIET_RETURN_NOT_OK(scan::Collect(
-        threads, blocks.total_rows(), &out, &stats_,
-        [&](size_t begin, size_t end, std::vector<Row>* rows,
-            EngineStats* stats) -> Status {
-          scan::TileGatherer tiles(&batchers);
-          return blocks.ForEachRowRange(
-              begin, end, filter, &stats->blocks,
-              [&](const MoftColumns& data, size_t lb, size_t le) -> Status {
-                tiles.Run(
-                    data, lb, le, [](size_t i) { return i; },
-                    [&](size_t i) {
-                      ++stats->samples_scanned;
-                      return when.Matches(dim, TimePoint(data.t[i]));
-                    },
-                    [&](const std::vector<size_t>& idx,
-                        const std::vector<uint8_t>& hit) {
-                      const size_t m = idx.size();
-                      stats->point_tests += nq * m;
-                      for (size_t k = 0; k < m; ++k) {
-                        for (size_t q = 0; q < nq; ++q) {
-                          if (hit[q * m + k] != 0) {
-                            rows->push_back({Value(data.oid[idx[k]]),
-                                             Value(data.t[idx[k]]),
-                                             Value(polys.ids[q])});
-                          }
-                        }
-                      }
-                    });
-                return Status::OK();
-              });
-        }));
+    // Batch point-in-polygon; point_tests counts the logical
+    // sample-times-polygon probes of the scalar loop (no early exit).
+    PIET_RETURN_NOT_OK(scan::SampleLocate(threads, rows, when, dim, polys,
+                                          nullptr, &out, &stats_, emit));
   } else {
     // Indexed: per-layer R-tree point queries, filtered by the bitmap.
     polys.layer->WarmIndex();
-    PIET_RETURN_NOT_OK(CollectRows(
-        threads, blocks, filter, when, dim, &out, &stats_,
-        [&](const MoftColumns& data, size_t i, std::vector<Row>* rows,
+    PIET_RETURN_NOT_OK(scan::TimeRows(
+        threads, rows, when, dim, &out, &stats_,
+        [&](const MoftColumns& data, size_t i, std::vector<Row>* out_rows,
             EngineStats* stats) {
           for (GeometryId g : polys.layer->GeometriesContaining(
                    geometry::Point(data.x[i], data.y[i]))) {
             ++stats->point_tests;  // GeometriesContaining did the test.
             if (polys.contains(g)) {
-              rows->push_back(
-                  {Value(data.oid[i]), Value(data.t[i]), Value(g)});
+              emit(data.oid[i], data.t[i], g, out_rows);
             }
           }
         }));
@@ -339,18 +242,13 @@ Result<FactTable> QueryEngine::SamplesNear(const std::string& moft_name,
       const scan::ProximityProbe probe,
       scan::ProximityProbe::Make(layer, radius, lines, error));
   FactTable out = FactTable::Make({"Oid", "t", lines ? "geom" : "node"}, {});
-  PIET_RETURN_NOT_OK(CollectRows(
-      parallel::ResolveThreads(num_threads_), moft->Blocks(),
-      moving::ZoneFilter{when.window(), {}}, when, db_->time_dimension(),
-      &out, &stats_,
-      [&](const MoftColumns& data, size_t i, std::vector<Row>* rows,
-          EngineStats* stats) {
-        probe.ForEachNear(geometry::Point(data.x[i], data.y[i]),
-                          &stats->point_tests, [&](GeometryId id) {
-                            rows->push_back({Value(data.oid[i]),
-                                             Value(data.t[i]), Value(id)});
-                            return true;
-                          });
+  PIET_RETURN_NOT_OK(scan::SampleProximity(
+      parallel::ResolveThreads(num_threads_),
+      scan::RowSource(moft->Blocks(), moving::ZoneFilter{when.window(), {}}),
+      when, db_->time_dimension(), probe, &out, &stats_,
+      [](ObjectId oid, double t, GeometryId id, std::vector<Row>* rows) {
+        rows->push_back({Value(oid), Value(t), Value(id)});
+        return true;
       }));
   query_obs.set_rows_matched(out.num_rows());
   return out;
@@ -407,23 +305,14 @@ Result<FactTable> QueryEngine::TrajectoryRegion(const std::string& moft_name,
   // block whose bbox misses every qualifying polygon yields no
   // inside-intervals for any of its objects.
   FactTable out = FactTable::Make({"Oid", "geom", "enter", "leave"}, {});
-  PIET_RETURN_NOT_OK(scan::CollectTrajectories(
+  PIET_RETURN_NOT_OK(scan::LegCross(
       parallel::ResolveThreads(num_threads_), moft->Blocks(),
-      moving::ZoneFilter{when.window(), polys.bounds}, &when,
-      db_->time_dimension(), &out, &stats_,
-      [&](const ObjectTrajectory& obj, std::vector<Row>* rows,
-          EngineStats* stats) -> Status {
-        stats->legs_tested += obj.legs();
-        for (size_t qi = 0; qi < polys.ids.size(); ++qi) {
-          const IntervalSet matched =
-              moving::InsideIntervals(obj.traj, *polys.polys[qi])
-                  .Intersect(obj.time_ok);
-          for (const Interval& iv : matched.intervals()) {
-            rows->push_back({Value(obj.oid()), Value(polys.ids[qi]),
-                             Value(iv.begin.seconds), Value(iv.end.seconds)});
-          }
-        }
-        return Status::OK();
+      moving::ZoneFilter{when.window(), polys.bounds}, when,
+      db_->time_dimension(), polys, &out, &stats_,
+      [](const ObjectTrajectory& obj, GeometryId id, const Interval& iv,
+         std::vector<Row>* rows) {
+        rows->push_back({Value(obj.oid()), Value(id), Value(iv.begin.seconds),
+                         Value(iv.end.seconds)});
       }));
   query_obs.set_rows_matched(out.num_rows());
   return out;

@@ -6,13 +6,11 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <span>
 #include <sstream>
 
 #include "analysis/lint/query_lint.h"
 #include "analysis/query_check.h"
 #include "common/parallel.h"
-#include "core/geometry/batch.h"
 #include "core/pietql/parser.h"
 #include "core/pietql/printer.h"
 #include "obs/flight.h"
@@ -20,7 +18,6 @@
 #include "core/region.h"
 #include "core/scan.h"
 #include "geometry/segment_polygon.h"
-#include "moving/traj_ops.h"
 #include "moving/trajectory.h"
 #include "temporal/time_dimension.h"
 
@@ -525,13 +522,11 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
   // evaluates the rewritten plan (results bit-identical by construction);
   // kOff evaluates exactly the query given, byte-identical to the
   // pre-rewriter pipeline. Analysis above always sees the ORIGINAL query.
-  const bool rewrite_on =
-      rewrite_mode_ == analysis::rewrite::RewriteMode::kOn;
   const Query* active = &query;
   Query rewritten_query;
   bool geo_zero = false;
   bool mo_zero = false;
-  if (rewrite_on) {
+  if (rewrite_mode_ == analysis::rewrite::RewriteMode::kOn) {
     analysis::rewrite::RewritePlan plan =
         RewriteStage(query, trace, obs_on, &result);
     geo_zero = plan.geo_zero;
@@ -640,13 +635,14 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
     }
     cache_fallback = cache.subhour_fallback();
   }
-  // Build the region C as (Oid, t) tuples. Each branch fans its loop out
-  // across the pool in deterministic chunks merged in chunk order, so the
-  // tuple sequence is identical to the serial loop for any thread count.
+  // Build the region C as (Oid, t) tuples through the shared scan
+  // operators. Each fans its loop out across the pool in deterministic
+  // chunks merged in chunk order, so the tuple sequence is identical to
+  // the serial loop for any thread count.
   const int threads = parallel::ResolveThreads(num_threads_);
   const temporal::TimeDimension& dim = db_->time_dimension();
   Tuples tuples;
-  size_t rows_scanned = 0;
+  EngineStats work;
   Status fanout_failed;
 
   // The span closes before aggregation so moft_intersect and aggregate
@@ -659,81 +655,43 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
     // EXPLAIN ANALYZE names the rollup level that forced the scan.
     intersect_span.Attr("aggcache_fallback", cache_fallback);
   }
-  // Block-store visibility: the window fast paths record zonemap skips
-  // into `block_io`; decode work (cold blocks rematerialized by Scan or
-  // pinned by block iteration) shows up as the delta of the global
-  // moft.block.decodes counter across the span.
-  moving::BlockIoStats block_io;
+  // Block-store visibility: the window ranges record zonemap skips into
+  // `work.blocks`; decode work (cold blocks rematerialized by the hot
+  // column reads) shows up as the delta of the global moft.block.decodes
+  // counter across the span.
   const int64_t decodes_before =
       obs_on ? obs::MetricsRegistry::Global()
                    .GetCounter("moft.block.decodes")
                    .Value()
              : 0;
-
-  // Rewrite fast path for a pure-window predicate (NEAR, INSIDE RESULT):
-  // binary-search the closed window once per object (SamplesBetween) and
-  // scan only the admitted rows, ascending — the filtered (oid, t) scan
-  // order, with no per-row time test. Absolute rows equal view indices
-  // (and classification hit offsets) only when the view starts at row 0
-  // (it always does today; the guard keeps the full scan otherwise).
-  auto window_rows = [&](const moving::SampleView& samples) {
-    std::optional<std::vector<size_t>> rows;
-    if (rewrite_on && when.window_only() && samples.offset() == 0) {
-      const moving::SampleWindow win = moft->SamplesBetween(
-          when.window()->begin, when.window()->end, &block_io);
-      rows.emplace();
-      rows->reserve(win.size());
-      for (const moving::SampleWindow::Range& r : win.ranges()) {
-        for (size_t row = r.begin; row < r.end; ++row) {
-          rows->push_back(row);
-        }
-      }
-    }
-    return rows;
+  // The sample clauses read the hot columns (`cols`, as one unfiltered
+  // block), or for a pure window their SamplesBetween ranges. Columns
+  // are materialized only on a live scan: a short-circuited (mo_zero)
+  // query must not rematerialize a cold tier just to skip it.
+  auto sample_rows = [&](const moving::MoftColumns& cols) {
+    return scan::RowSource::ForTime(
+        *moft, when,
+        scan::RowSource(moving::TableBlocks(&cols, nullptr),
+                        moving::ZoneFilter()),
+        &work.blocks);
+  };
+  auto emit_first = [](ObjectId oid, double t, GeometryId, Tuples* out) {
+    out->emplace_back(oid, t);
+    return false;  // One tuple per sample, however many geometries hit.
   };
 
   if (passes_through) {
     // Trajectory semantics: each maximal inside interval contributes a
-    // tuple stamped at its entry time. On the rewrite path, each (span,
-    // polygon) pair gets an exact batch prefilter first: a piecewise-linear
-    // trajectory shares a point with a closed polygon iff one of its legs
-    // does (a single-sample object: iff the point is contained), so spans
-    // whose legs all miss skip the InsideIntervals construction entirely.
-    // The visitor clips each span to the legs that can meet the time
-    // predicate, so the prefilter walks only those.
-    std::vector<batch::PolygonBatcher> batchers;
-    if (rewrite_on) {
-      batchers = wanted.Batchers();
-    }
+    // tuple stamped at its entry time.
     if (!mo_zero) {
-      // Materialize the columns only on a live scan: a short-circuited
-      // (mo_zero) query must not rematerialize a cold tier just to skip it.
       const moving::MoftColumns& cols = moft->Columns();
-      rows_scanned = cols.size();
-      fanout_failed = scan::CollectTrajectories(
+      work.samples_scanned = cols.size();
+      fanout_failed = scan::LegCross(
           threads, moving::TableBlocks(&cols, nullptr), moving::ZoneFilter(),
-          &when, dim, &tuples, nullptr,
-          [&](const scan::ObjectTrajectory& obj, Tuples* out,
-              EngineStats*) -> Status {
-            const size_t sb = obj.span.begin;
-            const size_t n = obj.span.end - sb;
-            for (size_t qi = 0; qi < wanted.ids.size(); ++qi) {
-              if (rewrite_on &&
-                  (n >= 2 ? !batchers[qi].AnyLegIntersects(
-                                std::span<const double>(cols.x.data() + sb, n),
-                                std::span<const double>(cols.y.data() + sb, n))
-                          : !wanted.polys[qi]->Contains(
-                                geometry::Point(cols.x[sb], cols.y[sb])))) {
-                continue;
-              }
-              const IntervalSet matched =
-                  moving::InsideIntervals(obj.traj, *wanted.polys[qi])
-                      .Intersect(obj.time_ok);
-              for (const Interval& iv : matched.intervals()) {
-                out->emplace_back(obj.oid(), iv.begin.seconds);
-              }
-            }
-            return Status::OK();
+          when, dim, wanted, &tuples, nullptr,
+          [](const scan::ObjectTrajectory& obj, GeometryId,
+             const Interval& iv, Tuples* out) {
+            out->emplace_back(obj.oid(), iv.begin.seconds);
           });
     }
   } else if (near_cond != nullptr) {
@@ -746,36 +704,14 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
         scan::ProximityProbe::Make(nodes, near_cond->radius, /*lines=*/false,
                                    "NEAR needs a point/node layer"));
     if (!mo_zero) {
-      const moving::SampleView samples = moft->Scan();
-      const moving::MoftColumns& cols = *samples.columns();
-      const std::optional<std::vector<size_t>> win_rows =
-          window_rows(samples);
-      rows_scanned = win_rows ? win_rows->size() : samples.size();
-      fanout_failed = scan::Collect(
-          threads, rows_scanned, &tuples, nullptr,
-          [&](size_t begin, size_t end, Tuples* out,
-              EngineStats* stats) -> Status {
-            for (size_t i = begin; i < end; ++i) {
-              const moving::Sample s =
-                  win_rows ? cols.at((*win_rows)[i]) : samples[i];
-              if (!win_rows && !when.Matches(dim, s.t)) {
-                continue;
-              }
-              probe.ForEachNear(s.pos, &stats->point_tests,
-                                [&](GeometryId /*node*/) {
-                                  out->emplace_back(s.oid, s.t.seconds);
-                                  return false;
-                                });
-            }
-            return Status::OK();
-          });
+      fanout_failed = scan::SampleProximity(
+          threads, sample_rows(moft->Columns()), when, dim, probe, &tuples,
+          &work, emit_first);
     }
   } else if (inside_result) {
     // When the overlay covers the result layer, reuse the cached batched
     // classification (one point location per sample, shared across
-    // queries) and filter hits against the wanted bitmap; otherwise test
-    // the resolved polygons directly. Both paths emit one tuple per
-    // sample, even on shared boundaries.
+    // queries); otherwise the batch kernels test the resolved polygons.
     if (!mo_zero) {
       std::shared_ptr<const SampleClassification> cls;
       if (db_->HasOverlay() &&
@@ -783,108 +719,19 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
         PIET_ASSIGN_OR_RETURN(
             cls, db_->ClassifySamples(mo.moft, result.result_layer));
       }
-      const moving::SampleView samples = cls ? cls->samples : moft->Scan();
-      const moving::MoftColumns& cols = *samples.columns();
-      const std::optional<std::vector<size_t>> win_rows =
-          window_rows(samples);
-      rows_scanned = win_rows ? win_rows->size() : samples.size();
-      if (cls || !rewrite_on) {
-        fanout_failed = scan::Collect(
-            threads, rows_scanned, &tuples, nullptr,
-            [&](size_t begin, size_t end, Tuples* out,
-                EngineStats*) -> Status {
-              for (size_t i = begin; i < end; ++i) {
-                const size_t vi = win_rows ? (*win_rows)[i] : i;
-                const moving::Sample s = samples[vi];
-                if (!win_rows && !when.Matches(dim, s.t)) {
-                  continue;
-                }
-                if (cls) {
-                  for (uint32_t j = cls->hits.offsets[vi];
-                       j < cls->hits.offsets[vi + 1]; ++j) {
-                    if (wanted.contains(cls->hits.ids[j])) {
-                      out->emplace_back(s.oid, s.t.seconds);
-                      break;
-                    }
-                  }
-                  continue;
-                }
-                for (const geometry::Polygon* pg : wanted.polys) {
-                  if (pg->Contains(s.pos)) {
-                    out->emplace_back(s.oid, s.t.seconds);
-                    break;
-                  }
-                }
-              }
-              return Status::OK();
-            });
-      } else {
-        // Rewrite batch path (no overlay classification): any-hit across
-        // the wanted polygons' batch kernels equals the scalar
-        // break-on-first-polygon.
-        const std::vector<batch::PolygonBatcher> batchers = wanted.Batchers();
-        fanout_failed = scan::Collect(
-            threads, rows_scanned, &tuples, nullptr,
-            [&](size_t begin, size_t end, Tuples* out,
-                EngineStats*) -> Status {
-              scan::TileGatherer tiles(&batchers);
-              tiles.Run(
-                  cols, begin, end,
-                  [&](size_t i) {
-                    return win_rows ? (*win_rows)[i] : i + samples.offset();
-                  },
-                  [&](size_t row) {
-                    return win_rows ||
-                           when.Matches(dim, TimePoint(cols.t[row]));
-                  },
-                  [&](const std::vector<size_t>& rows,
-                      const std::vector<uint8_t>& hit) {
-                    const size_t m = rows.size();
-                    for (size_t k = 0; k < m; ++k) {
-                      for (size_t q = 0; q < batchers.size(); ++q) {
-                        if (hit[q * m + k] != 0) {
-                          out->emplace_back(cols.oid[rows[k]], cols.t[rows[k]]);
-                          break;
-                        }
-                      }
-                    }
-                  });
-              return Status::OK();
-            });
-      }
+      fanout_failed = scan::SampleLocate(
+          threads,
+          sample_rows(cls ? *cls->samples.columns() : moft->Columns()), when,
+          dim, wanted, cls.get(), &tuples, &work, emit_first);
     }
   } else if (!mo_zero) {
-    if (rewrite_on && when.window_only()) {
-      // The SamplesMatchingTime fast path the rewriter's window folding
-      // enables: one binary search per object instead of a full-table
-      // scan. The ranges stream out in (oid, t) order — identical tuples
-      // to the filtered scan.
+    if (when.window_only()) {
       intersect_span.Attr("fast_path", "samples_matching_time");
-      const moving::SampleWindow win = moft->SamplesBetween(
-          when.window()->begin, when.window()->end, &block_io);
-      const moving::MoftColumns* cols = win.columns();
-      rows_scanned = win.size();
-      for (const moving::SampleWindow::Range& r : win.ranges()) {
-        for (size_t row = r.begin; row < r.end; ++row) {
-          tuples.emplace_back(cols->oid[row], cols->t[row]);
-        }
-      }
-    } else {
-      const moving::SampleView samples = moft->Scan();
-      rows_scanned = samples.size();
-      fanout_failed = scan::Collect(
-          threads, samples.size(), &tuples, nullptr,
-          [&](size_t begin, size_t end, Tuples* out,
-              EngineStats*) -> Status {
-            for (size_t i = begin; i < end; ++i) {
-              const moving::Sample s = samples[i];
-              if (when.Matches(dim, s.t)) {
-                out->emplace_back(s.oid, s.t.seconds);
-              }
-            }
-            return Status::OK();
-          });
     }
+    fanout_failed = scan::TimeRows(
+        threads, sample_rows(moft->Columns()), when, dim, &tuples, &work,
+        [](const moving::MoftColumns& cols, size_t i, Tuples* out,
+           EngineStats*) { out->emplace_back(cols.oid[i], cols.t[i]); });
   }
   if (mo_zero) {
     // rw-empty-time / rw-contradictory-spatial: the rewriter proved the
@@ -895,12 +742,13 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
   if (!fanout_failed.ok()) {
     return fanout_failed;
   }
-  intersect_span.Attr("rows_scanned", static_cast<uint64_t>(rows_scanned));
+  intersect_span.Attr("rows_scanned",
+                      static_cast<uint64_t>(work.samples_scanned));
   intersect_span.Attr("tuples", static_cast<uint64_t>(tuples.size()));
   if (const moving::MoftBlockStore* store = moft->block_store()) {
     intersect_span.Attr("blocks", static_cast<uint64_t>(store->num_blocks()));
     intersect_span.Attr("blocks_skipped",
-                        static_cast<uint64_t>(block_io.blocks_skipped));
+                        static_cast<uint64_t>(work.blocks.blocks_skipped));
     if (obs_on) {
       const int64_t decoded = obs::MetricsRegistry::Global()
                                   .GetCounter("moft.block.decodes")
@@ -909,7 +757,7 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
       intersect_span.Attr("blocks_decoded", static_cast<uint64_t>(decoded));
       obs::MetricsRegistry::Global()
           .GetCounter("pietql.blocks_skipped")
-          .Add(static_cast<int64_t>(block_io.blocks_skipped));
+          .Add(static_cast<int64_t>(work.blocks.blocks_skipped));
     }
   }
   }  // intersect_span

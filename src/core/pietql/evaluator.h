@@ -83,10 +83,10 @@ class Evaluator {
 
   /// The static plan rewriter (analysis::rewrite). kOn rewrites the query
   /// between analyze and geo_filter — dead-clause elimination, time-window
-  /// folding, zero-row short circuits, selectivity ordering — and routes
-  /// the moving-object scans through the batch geometry kernels. Results
-  /// are bit-identical to kOff; kOff evaluates exactly the given AST.
-  /// Defaults to the PIET_REWRITE environment knob.
+  /// folding, zero-row short circuits, selectivity ordering. Results are
+  /// bit-identical to kOff; kOff evaluates exactly the given AST. The mode
+  /// selects only the logical plan: both run the same scan operators and
+  /// kernels (core/scan.h). Defaults to the PIET_REWRITE environment knob.
   void set_rewrite_mode(analysis::rewrite::RewriteMode mode) {
     rewrite_mode_ = mode;
   }

@@ -211,8 +211,11 @@ Result<temporal::IntervalSet> TimePredicate::MatchingIntervals(
     }
   }
   // Cut the domain at every hour boundary plus the window endpoints; the
-  // predicate is constant on each elementary piece, so one midpoint probe
-  // per piece is exact.
+  // predicate is constant on each open piece between cuts, so one midpoint
+  // probe per piece is exact. A matching piece keeps its closed ends. A
+  // cut can match alone (a window [w, w], or one that meets the domain
+  // only at an end), so each cut is probed too and kept as [c, c] when
+  // neither neighbouring piece matched.
   std::vector<double> cuts = {domain.begin.seconds, domain.end.seconds};
   double first_hour =
       (temporal::StartOfHour(domain.begin) + temporal::kHour).seconds;
@@ -230,18 +233,18 @@ Result<temporal::IntervalSet> TimePredicate::MatchingIntervals(
   cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
 
   std::vector<temporal::Interval> pieces;
-  for (size_t i = 0; i + 1 < cuts.size(); ++i) {
-    temporal::TimePoint probe((cuts[i] + cuts[i + 1]) / 2.0);
-    if (Matches(dim, probe)) {
-      pieces.emplace_back(temporal::TimePoint(cuts[i]),
-                          temporal::TimePoint(cuts[i + 1]));
+  bool left = false;  // Whether the piece ending at cuts[i] matched.
+  for (size_t i = 0; i < cuts.size(); ++i) {
+    const temporal::TimePoint cut(cuts[i]);
+    const bool right =
+        i + 1 < cuts.size() &&
+        Matches(dim, temporal::TimePoint((cuts[i] + cuts[i + 1]) / 2.0));
+    if (right) {
+      pieces.emplace_back(cut, temporal::TimePoint(cuts[i + 1]));
+    } else if (!left && Matches(dim, cut)) {
+      pieces.emplace_back(cut, cut);
     }
-  }
-  if (cuts.size() == 1) {
-    // Point domain.
-    if (Matches(dim, domain.begin)) {
-      pieces.emplace_back(domain.begin, domain.begin);
-    }
+    left = right;
   }
   return temporal::IntervalSet(std::move(pieces));
 }

@@ -70,7 +70,17 @@ Result<std::optional<ObjectTrajectory>> MakeTrajectory(
       moving::LinearTrajectory traj,
       moving::LinearTrajectory::FromSample(std::move(sample)));
   return std::optional<ObjectTrajectory>(
-      ObjectTrajectory{rows, std::move(traj), std::move(time_ok)});
+      ObjectTrajectory{&data, rows, std::move(traj), std::move(time_ok)});
+}
+
+RowSource RowSource::ForTime(const moving::Moft& moft,
+                             const TimePredicate& when, RowSource scan,
+                             moving::BlockIoStats* io) {
+  if (when.window_only()) {
+    scan.window_ =
+        moft.SamplesBetween(when.window()->begin, when.window()->end, io);
+  }
+  return scan;
 }
 
 Result<ProximityProbe> ProximityProbe::Make(const gis::Layer* layer,

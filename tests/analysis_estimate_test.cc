@@ -184,46 +184,57 @@ TEST(EstimateSoundnessTest, FlightCountersLandInsideStaticIntervals) {
   const std::vector<std::string> queries = MakeQueries(7);
   for (Tier tier : {Tier::kRaw, Tier::kCompressed, Tier::kSpilled}) {
     std::unique_ptr<core::GeoOlapDatabase> db = MakeCityDb(tier);
-    core::pietql::Evaluator eval(db.get());
-    eval.set_rewrite_mode(analysis::rewrite::RewriteMode::kOn);
-    eval.set_agg_cache_mode(core::aggcache::AggCacheMode::kOn);
-    eval.set_estimate_mode(EstimateMode::kOn);
-    eval.set_admission_budget(AdmissionBudget{});
-    for (int threads : {1, 4}) {
-      eval.set_num_threads(threads);
-      MetricsRegistry::Global().Reset();
-      FlightRecorder::Options opts;
-      opts.capacity = queries.size() + 8;
-      FlightRecorder::Global().Configure(opts);
-      for (const std::string& q : queries) {
-        (void)eval.EvaluateString(q);
-      }
-      const std::vector<QueryRecord> flight =
-          FlightRecorder::Global().Snapshot();
-      ASSERT_EQ(flight.size(), queries.size());
-      size_t checked = 0;
-      for (const QueryRecord& rec : flight) {
-        if (!rec.error.empty()) {
-          continue;
+    // The rewrite mode picks the plan and the cache mode whether a serve is
+    // reachable; the window scan runs in every mode and the bounds must
+    // follow it.
+    for (bool rewrite : {false, true}) {
+      for (bool cache : {false, true}) {
+        core::pietql::Evaluator eval(db.get());
+        eval.set_rewrite_mode(rewrite ? analysis::rewrite::RewriteMode::kOn
+                                      : analysis::rewrite::RewriteMode::kOff);
+        eval.set_agg_cache_mode(cache ? core::aggcache::AggCacheMode::kOn
+                                      : core::aggcache::AggCacheMode::kOff);
+        eval.set_estimate_mode(EstimateMode::kOn);
+        eval.set_admission_budget(AdmissionBudget{});
+        for (int threads : {1, 4}) {
+          const std::string tag = std::string(TierName(tier)) + "/" +
+                                  (rewrite ? "rewrite" : "plain") + "/" +
+                                  (cache ? "cache" : "scan") + "/" +
+                                  std::to_string(threads);
+          eval.set_num_threads(threads);
+          MetricsRegistry::Global().Reset();
+          FlightRecorder::Options opts;
+          opts.capacity = queries.size() + 8;
+          FlightRecorder::Global().Configure(opts);
+          for (const std::string& q : queries) {
+            (void)eval.EvaluateString(q);
+          }
+          const std::vector<QueryRecord> flight =
+              FlightRecorder::Global().Snapshot();
+          ASSERT_EQ(flight.size(), queries.size()) << tag;
+          size_t checked = 0;
+          for (const QueryRecord& rec : flight) {
+            if (!rec.error.empty()) {
+              continue;
+            }
+            ASSERT_TRUE(rec.has_estimate) << tag << ": " << rec.text;
+            EXPECT_EQ(rec.EstimateViolation(), "") << tag << ": " << rec.text;
+            ++checked;
+          }
+          // The generator must not degenerate into all-error queries.
+          EXPECT_GE(checked, queries.size() / 2) << tag;
+          const obs::MetricsSnapshot snap =
+              MetricsRegistry::Global().Snapshot();
+          auto counter = [&snap](const std::string& name) {
+            auto it = snap.counters.find(name);
+            return it == snap.counters.end() ? int64_t{0} : it->second;
+          };
+          EXPECT_EQ(counter("pietql.estimate.violations"), 0) << tag;
+          EXPECT_EQ(counter("pietql.estimate.checked"),
+                    static_cast<int64_t>(checked))
+              << tag;
         }
-        ASSERT_TRUE(rec.has_estimate)
-            << TierName(tier) << "/" << threads << ": " << rec.text;
-        EXPECT_EQ(rec.EstimateViolation(), "")
-            << TierName(tier) << "/" << threads << ": " << rec.text;
-        ++checked;
       }
-      // The generator must not degenerate into all-error queries.
-      EXPECT_GE(checked, queries.size() / 2);
-      const obs::MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
-      auto counter = [&snap](const std::string& name) {
-        auto it = snap.counters.find(name);
-        return it == snap.counters.end() ? int64_t{0} : it->second;
-      };
-      EXPECT_EQ(counter("pietql.estimate.violations"), 0)
-          << TierName(tier) << "/" << threads;
-      EXPECT_EQ(counter("pietql.estimate.checked"),
-                static_cast<int64_t>(checked))
-          << TierName(tier) << "/" << threads;
     }
   }
 }
@@ -272,26 +283,62 @@ constexpr const char* kInsideCount =
     "SELECT layer.Ln; FROM PietSchema; WHERE ATTR(layer.Ln, income) < 1500 "
     "| SELECT COUNT(DISTINCT OID) FROM FMbus WHERE INSIDE RESULT";
 
-TEST(ExplainEstimateTest, GoldenOverFigure1) {
+/// The Figure 1 database with FMbus re-stored under `opts`: BlockOptions
+/// set on the MOFT override PIET_COMPRESS / PIET_BLOCK_ROWS, so the golden
+/// text holds in every environment.
+std::unique_ptr<core::GeoOlapDatabase> Figure1StoredAs(
+    const moving::BlockOptions& opts) {
   auto scenario = workload::BuildFigure1Scenario();
-  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
-  core::pietql::Evaluator eval(scenario.ValueOrDie().db.get());
+  EXPECT_TRUE(scenario.ok()) << scenario.status().ToString();
+  core::GeoOlapDatabase& built = *scenario.ValueOrDie().db;
+  const moving::MoftColumns& cols =
+      built.GetMoft("FMbus").ValueOrDie()->Columns();
+  moving::Moft pinned;
+  pinned.SetBlockOptions(opts);
+  for (size_t i = 0; i < cols.size(); ++i) {
+    const moving::Sample s = cols.at(i);
+    EXPECT_TRUE(pinned.Add(s.oid, s.t, s.pos).ok());
+  }
+  auto db =
+      std::make_unique<core::GeoOlapDatabase>(std::move(built.mutable_gis()));
+  EXPECT_TRUE(db->AddMoft("FMbus", std::move(pinned)).ok());
+  return db;
+}
+
+std::string ExplainFigure1(const moving::BlockOptions& opts) {
+  std::unique_ptr<core::GeoOlapDatabase> db = Figure1StoredAs(opts);
+  core::pietql::Evaluator eval(db.get());
   eval.set_rewrite_mode(analysis::rewrite::RewriteMode::kOn);
   eval.set_agg_cache_mode(core::aggcache::AggCacheMode::kOn);
   eval.set_estimate_mode(EstimateMode::kOn);
   auto out = eval.ExplainEstimate(kInsideCount);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(out.ValueOrDie(),
-            "plan: SELECT layer.Ln; FROM PietSchema; "
-            "WHERE ATTR(layer.Ln, income) < 1500 | "
-            "SELECT COUNT(DISTINCT OID) FROM FMbus WHERE INSIDE RESULT\n"
-            "estimate (clause=inside_result)\n"
-            "  geo_filter      layer=Ln conditions=1 ids=[1,1] exact=yes\n"
-            "  moft_intersect  moft=FMbus rows_scanned=[12,12] tuples=[0,12] "
-            "blocks=[0,0] blocks_skipped=[0,0] blocks_decoded=[0,0] "
-            "cache_servable=no\n"
-            "  aggregate       kind=count_distinct_oid result_rows=[1,1]\n"
-            "cost ~ 576 (bytes_decoded=[0,0])");
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  return out.ok() ? out.ValueOrDie() : "";
+}
+
+TEST(ExplainEstimateTest, GoldenOverFigure1) {
+  auto golden = [](const char* blocks) {
+    return std::string(
+               "plan: SELECT layer.Ln; FROM PietSchema; "
+               "WHERE ATTR(layer.Ln, income) < 1500 | "
+               "SELECT COUNT(DISTINCT OID) FROM FMbus WHERE INSIDE RESULT\n"
+               "estimate (clause=inside_result)\n"
+               "  geo_filter      layer=Ln conditions=1 ids=[1,1] exact=yes\n"
+               "  moft_intersect  moft=FMbus rows_scanned=[12,12] "
+               "tuples=[0,12] blocks=") +
+           blocks +
+           " blocks_skipped=[0,0] blocks_decoded=[0,0] cache_servable=no\n"
+           "  aggregate       kind=count_distinct_oid result_rows=[1,1]\n"
+           "cost ~ 576 (bytes_decoded=[0,0])";
+  };
+  // Raw columns: no block store.
+  EXPECT_EQ(ExplainFigure1(moving::BlockOptions{}), golden("[0,0]"));
+  // Compressed 64-row blocks (the hot tier stays resident): the twelve
+  // samples seal into one block, which nothing skips or decodes.
+  moving::BlockOptions blocks;
+  blocks.block_rows = 64;
+  blocks.compress = true;
+  EXPECT_EQ(ExplainFigure1(blocks), golden("[1,1]"));
 }
 
 // ---------------------------------------------------------------------------

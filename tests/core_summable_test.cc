@@ -150,6 +150,41 @@ TEST(TimePredicateTest, MatchingIntervalsWithWindow) {
   EXPECT_DOUBLE_EQ(matched.TotalLength(), 45.0 * 60.0);
 }
 
+TEST(TimePredicateTest, MatchingIntervalsKeepsSingleInstants) {
+  // Closed windows that meet the domain [3600, 7200] in one instant match
+  // exactly that instant.
+  temporal::TimeDimension dim;
+  const temporal::Interval domain(temporal::TimePoint(3600.0),
+                                  temporal::TimePoint(7200.0));
+  auto at = [](double t) {
+    return temporal::Interval(temporal::TimePoint(t), temporal::TimePoint(t));
+  };
+  struct Case {
+    double w0, w1;
+    std::vector<temporal::Interval> expected;
+  };
+  const Case cases[] = {
+      {4500.0, 4500.0, {at(4500.0)}},  // An instant strictly inside.
+      {0.0, 3600.0, {at(3600.0)}},     // Touches the domain's start.
+      {7200.0, 9000.0, {at(7200.0)}},  // Touches the domain's end.
+      {3600.0, 3600.0, {at(3600.0)}},
+      // Wider windows keep their closed pieces and gain no extra instant.
+      {5400.0, 9000.0,
+       {temporal::Interval(temporal::TimePoint(5400.0),
+                           temporal::TimePoint(7200.0))}},
+      {0.0, 9000.0, {domain}},
+      {7300.0, 9000.0, {}},
+  };
+  for (const Case& c : cases) {
+    TimePredicate when;
+    when.Window(temporal::Interval(temporal::TimePoint(c.w0),
+                                   temporal::TimePoint(c.w1)));
+    const temporal::IntervalSet matched =
+        when.MatchingIntervals(dim, domain).ValueOrDie();
+    EXPECT_EQ(matched.intervals(), c.expected) << c.w0 << ".." << c.w1;
+  }
+}
+
 TEST(TimePredicateTest, HourRangeAndFineLevelsRejected) {
   temporal::TimeDimension dim;
   TimePredicate rush;

@@ -22,6 +22,7 @@
 #include "moving/trajectory.h"
 #include "moving_test_util.h"
 #include "workload/city.h"
+#include "workload/scenario.h"
 #include "workload/trajectories.h"
 
 namespace piet {
@@ -336,6 +337,57 @@ TEST(TrajectoryClipTest, ClippedScansMatchTheWholeTrajectory) {
   EXPECT_GT(nonempty_region, 0u);
   EXPECT_GT(nonempty_near, 0u);
   EXPECT_GT(clipped_away, 0u);
+}
+
+// A closed window that meets an object's time domain in a single instant
+// matches that instant under trajectory semantics. The expected rows are
+// written out by hand: references built on MatchingIntervals would share
+// a defect that drops zero-length matches.
+TEST(TrajectoryInstantTest, SingleInstantWindowsMatchTheInstant) {
+  auto scenario = workload::BuildFigure1Scenario();
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  core::GeoOlapDatabase& db = *scenario.ValueOrDie().db;
+  const gis::GeometryId n1 = scenario.ValueOrDie().low_income_neighborhood;
+  // One bus inside the low-income cell N1 = [40,80]x[0,40] over its whole
+  // domain [3600, 7200].
+  Moft probe;
+  ASSERT_TRUE(probe.Add(7, TimePoint(3600.0), Point(50, 10)).ok());
+  ASSERT_TRUE(probe.Add(7, TimePoint(7200.0), Point(70, 30)).ok());
+  ASSERT_TRUE(db.AddMoft("probe", std::move(probe)).ok());
+  const GeometryPredicate low =
+      GeometryPredicate::AttributeLess("income", 1500.0);
+
+  QueryEngine engine(&db);
+  core::pietql::Evaluator evaluator(&db);
+  const struct {
+    double w0, w1, instant;
+  } windows[] = {{4500, 4500, 4500}, {0, 3600, 3600}, {7200, 9000, 7200}};
+  for (const auto& w : windows) {
+    const WindowCase wc = Between("instant", w.w0, w.w1);
+    const std::string tag = std::to_string(w.w0) + ".." + std::to_string(w.w1);
+    auto region = engine.TrajectoryRegion("probe", "Ln", low, wc.when);
+    ASSERT_TRUE(region.ok()) << tag << region.status().ToString();
+    EXPECT_EQ(region.ValueOrDie().rows(),
+              (std::vector<Row>{{Value(ObjectId{7}), Value(n1),
+                                 Value(w.instant), Value(w.instant)}}))
+        << tag;
+    auto always = engine.ObjectsAlwaysWithin("probe", "Ln", low, wc.when,
+                                             /*trajectory_semantics=*/true);
+    ASSERT_TRUE(always.ok()) << tag << always.status().ToString();
+    EXPECT_EQ(always.ValueOrDie(), std::vector<ObjectId>{7}) << tag;
+    for (auto mode : {analysis::rewrite::RewriteMode::kOff,
+                      analysis::rewrite::RewriteMode::kOn}) {
+      evaluator.set_rewrite_mode(mode);
+      EXPECT_EQ(Scalar(evaluator,
+                       "SELECT layer.Ln; FROM PietSchema; "
+                       "WHERE ATTR(layer.Ln, income) < 1500 | "
+                       "SELECT COUNT(*) FROM probe WHERE PASSES THROUGH "
+                       "RESULT" +
+                           wc.clause),
+                1)
+          << tag;
+    }
+  }
 }
 
 }  // namespace

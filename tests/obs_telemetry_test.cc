@@ -582,6 +582,9 @@ TEST_F(FlightSixBusTest, ResultsBitIdenticalWithTelemetryOnAndOff) {
   const std::vector<std::string> baseline4 = run_all(4);
 
   SetEnabled(true);
+  // The sampler counts a counter's first appearance as a delta against 0,
+  // so counters left by earlier tests in this process must go first.
+  MetricsRegistry::Global().Reset();
   FlightRecorder::Options opts;
   opts.capacity = 16;
   opts.slow_threshold_ms = 0;

@@ -71,6 +71,30 @@ if grep -n -E "TileGatherer|\.Batchers\(|AnyLegIntersects|SamplesBetween\(" \
   exit 1
 fi
 
+# Lint, rewrite and estimate share one static plan analysis
+# (src/analysis/plan_facts.{h,cc}, DESIGN.md §11): the value comparison,
+# number rendering, layer resolution and the geo satisfying-set flow (its
+# R-tree CandidatesInBox loop) are defined there and nowhere else. The
+# estimator bounds the plan it is handed and never rewrites on its own.
+if grep -rnE "^[A-Za-z].*[ *&](CompareValues|FormatNumber|ResolveLayer)\(" \
+     --include='*.cc' --include='*.h' src/ |
+     grep -v '^src/analysis/plan_facts\.'; then
+  echo "error: CompareValues, FormatNumber and ResolveLayer are defined" \
+       "only in src/analysis/plan_facts.{h,cc}" >&2
+  exit 1
+fi
+if grep -rn "CandidatesInBox" src/analysis/ |
+     grep -v '^src/analysis/plan_facts\.cc:'; then
+  echo "error: the geo satisfying-set flow lives in" \
+       "src/analysis/plan_facts.cc; read it through AnalyzePlan" >&2
+  exit 1
+fi
+if grep -rn "RewriteQuery(" src/analysis/estimate/; then
+  echo "error: the estimator takes the executed RewritePlan; the caller" \
+       "rewrites (Evaluator, lint::EstimateForCase)" >&2
+  exit 1
+fi
+
 echo "== configure (${BUILD_DIR}, -Werror) =="
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=Release \

@@ -10,15 +10,15 @@
 #include <string_view>
 
 #include "analysis/lint/time_domain.h"
-#include "analysis/rewrite/rewriter.h"
+#include "analysis/plan_facts.h"
 #include "gis/layer.h"
 #include "temporal/interval.h"
+#include "temporal/time_dimension.h"
 #include "temporal/time_point.h"
 
 namespace piet::analysis::estimate {
 
 namespace pq = core::pietql;
-using gis::GeometryId;
 using gis::GeometryKind;
 using gis::Layer;
 using moving::BlockMeta;
@@ -67,22 +67,6 @@ int64_t SatMul(int64_t a, int64_t b) {
   return (a > kSatCap / b) ? kSatCap : a * b;
 }
 
-bool CompareValues(const Value& lhs, pq::CompareOp op, const Value& rhs) {
-  switch (op) {
-    case pq::CompareOp::kLt:
-      return lhs < rhs;
-    case pq::CompareOp::kGt:
-      return rhs < lhs;
-    case pq::CompareOp::kLe:
-      return !(rhs < lhs);
-    case pq::CompareOp::kGe:
-      return !(lhs < rhs);
-    case pq::CompareOp::kEq:
-      return lhs == rhs;
-  }
-  return false;
-}
-
 /// Static replay of Moft::SamplesBetween's zonemap walk over the closed
 /// window [t0, t1]: which blocks the time filter rejects wholesale, how
 /// many rows the admitted blocks hold (an upper bound on the window's row
@@ -114,33 +98,6 @@ WindowRowMath ReplayZoneFilter(const MoftCatalogStats& stats, double t0,
   return out;
 }
 
-/// The time predicate's shape, mirroring TimePredicate's construction in
-/// the evaluator: every TIME.<level> equality is a rollup constraint and
-/// the LAST T BETWEEN wins (Window replaces, it does not intersect).
-struct TimeShape {
-  std::vector<const pq::MoCondition*> rollups;
-  std::optional<Interval> window;  // Last T BETWEEN; may be inverted.
-
-  bool window_only() const { return rollups.empty() && window.has_value(); }
-  bool unconstrained() const { return rollups.empty() && !window; }
-};
-
-TimeShape SplitTimeShape(const pq::MoQuery& mo) {
-  TimeShape shape;
-  for (const pq::MoCondition& cond : mo.where) {
-    if (cond.kind == pq::MoCondition::Kind::kTimeEquals) {
-      shape.rollups.push_back(&cond);
-    } else if (cond.kind == pq::MoCondition::Kind::kTimeBetween) {
-      shape.window = Interval(TimePoint(cond.t0), TimePoint(cond.t1));
-    }
-  }
-  return shape;
-}
-
-bool IsSubHourLevel(std::string_view level) {
-  return level == "timeId" || level == "minute";
-}
-
 /// Hour buckets overlapped by the closed range [begin, end] (empty -> 0).
 int64_t BucketsTouched(double begin, double end, double width) {
   if (end < begin) {
@@ -160,133 +117,48 @@ std::string FormatFraction(double f) {
 }  // namespace
 
 Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
-                                       const pq::Query& query) {
+                                       const rewrite::RewritePlan& plan) {
   if (catalog.gis == nullptr) {
     return Status::InvalidArgument(
         "estimate needs a catalog with a GIS instance");
   }
-  // The evaluator executes the rewritten plan, so the bounds are derived
-  // from it; the rewrite context mirrors Evaluator::RewriteStage.
-  const pq::Query* active = &query;
-  pq::Query rewritten;
-  bool geo_zero = false;
-  bool mo_zero = false;
-  if (catalog.rewrite_on) {
-    rewrite::RewriteContext context;
-    context.gis = catalog.gis;
-    if (catalog.overlay != nullptr) {
-      context.overlay = catalog.overlay;
-      context.agg_cache = catalog.agg_cache_on;
-    }
-    rewrite::RewritePlan plan = rewrite::RewriteQuery(context, query);
-    geo_zero = plan.geo_zero;
-    mo_zero = plan.mo_zero;
-    rewritten = std::move(plan.query);
-    active = &rewritten;
-  }
-
+  const pq::Query& query = plan.query;
+  const PlanFacts facts = AnalyzePlan(catalog.gis, query);
   ResourceEstimate est;
 
-  // ---- Geometric part: mirror EvaluateGeoPart. ATTR comparisons filter
-  // exactly; spatial conditions over-approximate by keeping every id with
-  // an R-tree bbox candidate (a superset of the exact hits). A condition
-  // the evaluator must reject (unknown layer, wrong anchor layer) makes
-  // the whole query error-expected: an errored query scans nothing.
-  bool error_expected = false;
-  const Layer* layer = nullptr;
-  std::string result_layer;
-  std::vector<GeometryId> over;
-  bool region_exact = true;
-  if (active->geo.select.empty()) {
-    error_expected = true;
-  } else {
-    result_layer = active->geo.select.front().name;
-    auto lr = catalog.gis->GetLayer(result_layer);
-    if (!lr.ok()) {
-      error_expected = true;
-    } else {
-      layer = lr.ValueOrDie();
-    }
-  }
-  if (!error_expected && geo_zero) {
-    // rw-empty-region proved the conjunction unsatisfiable (and that no
-    // evaluation error hides behind it).
-    over.clear();
-  } else if (!error_expected) {
-    over = layer->ids();
-    for (const pq::GeoCondition& cond : active->geo.where) {
-      if (cond.a.name != result_layer) {
-        error_expected = true;
-        break;
-      }
-      std::vector<GeometryId> next;
-      switch (cond.kind) {
-        case pq::GeoCondition::Kind::kAttrCompare: {
-          for (GeometryId id : over) {
-            auto v = layer->GetAttribute(id, cond.attribute);
-            if (v.ok() &&
-                CompareValues(v.ValueOrDie(), cond.op, cond.literal)) {
-              next.push_back(id);
-            }
-          }
-          break;
-        }
-        case pq::GeoCondition::Kind::kIntersection:
-        case pq::GeoCondition::Kind::kContains: {
-          auto other = catalog.gis->GetLayer(cond.b.name);
-          if (!other.ok()) {
-            error_expected = true;
-            break;
-          }
-          if (cond.kind == pq::GeoCondition::Kind::kContains &&
-              layer->kind() != GeometryKind::kPolygon) {
-            // Every per-pair CONTAINS test fails (error swallowed as a
-            // miss), so the runtime keeps exactly nothing.
-            break;
-          }
-          region_exact = false;
-          for (GeometryId id : over) {
-            auto bounds = layer->BoundsOf(id);
-            if (!bounds.ok()) {
-              continue;
-            }
-            if (!other.ValueOrDie()
-                     ->CandidatesInBox(bounds.ValueOrDie())
-                     .empty()) {
-              next.push_back(id);
-            }
-          }
-          break;
-        }
-      }
-      if (error_expected) {
-        break;
-      }
-      // No early exit on an empty set: the runtime keeps walking the
-      // remaining conditions and can still error on them.
-      over = std::move(next);
-    }
-  }
-  if (error_expected) {
-    over.clear();
-    region_exact = false;
-  }
-  est.region_ids.lo = region_exact ? static_cast<int64_t>(over.size()) : 0;
-  est.region_ids.hi = static_cast<int64_t>(over.size());
+  // ---- Geometric part: the shared satisfying-set flow mirrors
+  // EvaluateGeoPart. ATTR comparisons filter exactly; spatial conditions
+  // over-approximate by keeping every id with an R-tree bbox candidate (a
+  // superset of the exact hits). A condition the evaluator must reject
+  // (unknown layer, wrong anchor layer) makes the whole query
+  // error-expected: an errored query scans nothing.
+  bool error_expected = !facts.geo.anchored || !facts.geo.resolved;
+  const Layer* layer = facts.geo.layer;
+  const std::string& result_layer = facts.geo.result_name;
+  // rw-empty-region proved the conjunction unsatisfiable (and that no
+  // evaluation error hides behind it).
+  const bool region_exact =
+      !error_expected && (plan.geo_zero || facts.geo.exact);
+  const int64_t region_size =
+      error_expected || plan.geo_zero
+          ? 0
+          : static_cast<int64_t>(facts.geo.region.size());
+  est.region_ids.lo = region_exact ? region_size : 0;
+  est.region_ids.hi = region_size;
   est.region_exact = region_exact;
 
   StageEstimate geo_stage;
   geo_stage.name = "geo_filter";
   geo_stage.attrs.emplace_back(
       "layer", result_layer.empty() ? std::string("?") : result_layer);
-  geo_stage.attrs.emplace_back(
-      "conditions", std::to_string(active->geo.where.size()));
+  geo_stage.attrs.emplace_back("conditions",
+                               std::to_string(query.geo.where.size()));
   geo_stage.attrs.emplace_back("ids", est.region_ids.ToString());
   geo_stage.attrs.emplace_back("exact", region_exact ? "yes" : "no");
   est.stages.push_back(std::move(geo_stage));
 
   // ---- Moving-object part.
-  if (!error_expected && !active->mo) {
+  if (!error_expected && !query.mo) {
     est.clause = "none";
     est.result_rows = est.region_ids;
     est.cost = 32.0 * static_cast<double>(est.rows_scanned.hi) +
@@ -294,11 +166,11 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
     return est;
   }
 
-  const pq::MoQuery* mo = active->mo ? &*active->mo : nullptr;
+  const pq::MoQuery* mo = query.mo ? &*query.mo : nullptr;
+  const MoFacts& shape = facts.mo;
   const MoftCatalogStats* stats = nullptr;
-  bool inside_result = false;
-  bool passes_through = false;
-  const pq::MoCondition* near_cond = nullptr;
+  const pq::MoCondition* near_cond =
+      mo != nullptr && shape.near ? &mo->where[*shape.near] : nullptr;
   if (!error_expected && mo != nullptr) {
     auto it = catalog.mofts.find(mo->moft);
     if (it == catalog.mofts.end()) {
@@ -308,34 +180,15 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
     }
   }
   if (!error_expected && mo != nullptr) {
-    int spatial = 0;
-    for (const pq::MoCondition& cond : mo->where) {
-      switch (cond.kind) {
-        case pq::MoCondition::Kind::kInsideResult:
-          inside_result = true;
-          break;
-        case pq::MoCondition::Kind::kPassesThroughResult:
-          passes_through = true;
-          break;
-        case pq::MoCondition::Kind::kNearLayer:
-          near_cond = &cond;
-          break;
-        default:
-          break;
-      }
-    }
-    spatial = (inside_result ? 1 : 0) + (passes_through ? 1 : 0) +
-              (near_cond != nullptr ? 1 : 0);
-    if (spatial > 1) {
+    if (shape.spatial_modes() > 1) {
       error_expected = true;
-    } else if ((inside_result || passes_through) &&
+    } else if ((shape.inside || shape.passes) &&
                layer->kind() != GeometryKind::kPolygon) {
       error_expected = true;
     } else if (near_cond != nullptr) {
-      auto nodes = catalog.gis->GetLayer(near_cond->near_layer);
-      if (!nodes.ok() ||
-          (nodes.ValueOrDie()->kind() != GeometryKind::kNode &&
-           nodes.ValueOrDie()->kind() != GeometryKind::kPoint)) {
+      const Layer* nodes = ResolveLayer(catalog.gis, near_cond->near_layer);
+      if (nodes == nullptr || (nodes->kind() != GeometryKind::kNode &&
+                               nodes->kind() != GeometryKind::kPoint)) {
         error_expected = true;
       }
     }
@@ -346,6 +199,9 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
     return est;
   }
 
+  const bool inside_result = shape.inside;
+  const bool passes_through = shape.passes;
+  const bool mo_zero = plan.mo_zero;
   est.clause = passes_through        ? "passes_through"
                : near_cond != nullptr ? "near"
                : inside_result        ? "inside_result"
@@ -359,35 +215,29 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
   const int64_t n_blocks =
       st.has_block_store ? static_cast<int64_t>(st.num_blocks) : 0;
 
-  const TimeShape shape = SplitTimeShape(*mo);
-  bool sub_hour = false;
-  for (const pq::MoCondition* r : shape.rollups) {
-    sub_hour = sub_hour || IsSubHourLevel(r->time_level);
+  // Only the LAST window is live (a later T BETWEEN replaces an earlier
+  // one); every rollup equality is a conjunct.
+  std::optional<Interval> window;
+  if (const std::optional<size_t> w = shape.last_window()) {
+    window = Interval(TimePoint(mo->where[*w].t0), TimePoint(mo->where[*w].t1));
   }
-  if (mo->group_by_level && IsSubHourLevel(*mo->group_by_level)) {
-    sub_hour = true;
-  }
+  const bool sub_hour =
+      shape.sub_hour_rollup ||
+      (mo->group_by_level && temporal::IsSubHourLevel(*mo->group_by_level));
 
-  // The meet of every folded time constraint. Soundness note: only the
-  // LAST window feeds MeetWindow (runtime replacement semantics); each
-  // rollup equality is a conjunct, so intersecting their folded windows is
-  // sound. Bottom proves no tuple can match.
-  lint::TimeAbstract abstract;
-  if (shape.window) {
-    abstract.MeetWindow(*shape.window);
-  }
-  for (const pq::MoCondition* r : shape.rollups) {
-    abstract.MeetLevelEquals(r->time_level, r->literal);
-  }
+  // The meet of every folded time constraint. Bottom proves no tuple can
+  // match.
+  const lint::TimeAbstract& abstract = shape.time;
   const bool time_bottom = abstract.IsBottom();
 
   // The sample clauses of a pure window read the SamplesBetween ranges in
   // every rewrite mode; PASSES THROUGH always scans every object.
-  const bool win_path = !passes_through && shape.window_only();
+  const bool window_only = shape.rollups.empty() && window.has_value();
+  const bool win_path = !passes_through && window_only;
   const WindowRowMath wm_last =
-      shape.window ? ReplayZoneFilter(st, shape.window->begin.seconds,
-                                      shape.window->end.seconds)
-                   : WindowRowMath{};
+      window ? ReplayZoneFilter(st, window->begin.seconds,
+                                window->end.seconds)
+             : WindowRowMath{};
 
   // Upper bound on time-matching rows, via the zonemaps when the meet
   // abstraction carries an absolute window.
@@ -440,7 +290,7 @@ Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
   // Qualifying tuples.
   if (!mo_zero && !time_bottom) {
     if (time_only) {
-      if (shape.unconstrained()) {
+      if (shape.rollups.empty() && !window) {
         est.tuples = EstInterval{rows_n, rows_n};
       } else if (win_path) {
         // The fast path emits exactly the scanned rows as tuples.

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "analysis/diagnostic.h"
+#include "analysis/rewrite/rewriter.h"
 #include "common/result.h"
 #include "core/pietql/ast.h"
 #include "gis/instance.h"
@@ -45,16 +46,14 @@ struct EstInterval {
 /// What the estimator may look at: schema instance (layer element counts,
 /// attribute tables, R-tree candidates), the optional overlay (cache
 /// coverage), per-MOFT storage statistics (rows, per-block zonemaps,
-/// tier), and the evaluator's mode flags, which decide which plan runs
-/// (the rewriter's) and which runtime paths are reachable (cache serving
-/// needs the aggregate cache).
+/// tier), and whether the aggregate cache is on, which decides whether
+/// cache serving is reachable.
 struct Catalog {
   const gis::GisDimensionInstance* gis = nullptr;
   const gis::OverlayDb* overlay = nullptr;
   /// Layer names the overlay covers (OverlayLayerIndex would resolve).
   std::vector<std::string> overlay_layers;
   std::map<std::string, moving::MoftCatalogStats> mofts;
-  bool rewrite_on = false;
   bool agg_cache_on = false;
 };
 
@@ -67,7 +66,7 @@ struct StageEstimate {
 };
 
 /// Sound static resource bounds for one Piet-QL query, derived by abstract
-/// interpretation of the (rewritten) plan against the Catalog — no MOFT
+/// interpretation of the executed plan against the Catalog — no MOFT
 /// row is read and no block is decoded. Intervals bracket the counters the
 /// flight recorder observes for a successful evaluation of the same query
 /// under the same modes; a query the evaluator statically must reject
@@ -108,13 +107,14 @@ struct ResourceEstimate {
   std::string ToString() const;
 };
 
-/// Derives the ResourceEstimate for `query` against `catalog`. When
-/// catalog.rewrite_on the plan is rewritten first (the evaluator executes
-/// the rewritten plan, so the bounds must bracket that plan's counters).
-/// Fails only on a null catalog.gis; statically-doomed queries succeed
-/// with clause "error" and all-zero intervals.
+/// Derives the ResourceEstimate for the plan the evaluator executes: the
+/// rewriter's output when rewriting is on (its geo_zero / mo_zero proofs
+/// skip the matching scans), or the query as given with no proofs when it
+/// is off. The bounds bracket that plan's counters. Fails only on a null
+/// catalog.gis; statically-doomed queries succeed with clause "error" and
+/// all-zero intervals.
 Result<ResourceEstimate> EstimateQuery(const Catalog& catalog,
-                                       const core::pietql::Query& query);
+                                       const rewrite::RewritePlan& plan);
 
 /// Admission budget for the verdict API. 0 (or <= 0) on any axis means
 /// unlimited on that axis.

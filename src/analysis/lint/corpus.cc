@@ -537,7 +537,6 @@ Result<estimate::ResourceEstimate> EstimateForCase(const CorpusCase& c,
 
   estimate::Catalog catalog;
   catalog.gis = c.instance.get();
-  catalog.rewrite_on = true;
   catalog.agg_cache_on = true;
   // Corpus cases carry no overlay of their own; estimate against a
   // quadtree overlay over the case's polygon layers (the configuration the
@@ -567,7 +566,13 @@ Result<estimate::ResourceEstimate> EstimateForCase(const CorpusCase& c,
   for (const std::string& moft_name : c.moft_names) {
     catalog.mofts.emplace(moft_name, corpus_moft.CatalogStats());
   }
-  return estimate::EstimateQuery(catalog, query);
+  // Estimate the plan the evaluator would run, with the rewriter on.
+  rewrite::RewriteContext context;
+  context.gis = catalog.gis;
+  context.overlay = catalog.overlay;
+  context.agg_cache = catalog.overlay != nullptr;
+  return estimate::EstimateQuery(catalog,
+                                 rewrite::RewriteQuery(context, query));
 }
 
 Status CheckEstimateExpectations(const CorpusCase& c) {

@@ -1,165 +1,48 @@
 #include "analysis/lint/query_lint.h"
 
-#include <algorithm>
-#include <charconv>
-#include <optional>
-#include <set>
 #include <string>
 
 #include "analysis/lint/time_domain.h"
-#include "gis/layer.h"
+#include "analysis/plan_facts.h"
 #include "temporal/time_dimension.h"
 
 namespace piet::analysis::lint {
 
 namespace pietql = core::pietql;
-using gis::GeometryId;
-using gis::Layer;
 
 namespace {
 
-/// Shortest round-trip rendering, matching the printer (no 6-digit
-/// truncation): "50", "1.5", "189493200".
-std::string FormatNumber(double v) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc()) {
-    return "0";
+/// Turns the geometric facts into per-clause and region findings. The
+/// satisfying sets over-approximate (bounding boxes for spatial clauses),
+/// so an empty set is a proof of deadness; only exact sets prove a clause
+/// redundant.
+void LintGeoPart(const pietql::GeoQuery& geo, const GeoFacts& facts,
+                 DiagnosticList* out) {
+  if (!facts.anchored) {
+    return;  // query-unknown-layer territory, or a shape evaluation rejects.
   }
-  std::string out(buf, ptr);
-  if (out.size() > 2 && out.substr(out.size() - 2) == ".0") {
-    out.resize(out.size() - 2);
-  }
-  return out;
-}
-
-/// Mirrors the evaluator's comparison exactly (Value's total order).
-bool CompareValues(const Value& lhs, pietql::CompareOp op, const Value& rhs) {
-  switch (op) {
-    case pietql::CompareOp::kLt:
-      return lhs < rhs;
-    case pietql::CompareOp::kGt:
-      return rhs < lhs;
-    case pietql::CompareOp::kLe:
-      return !(rhs < lhs);
-    case pietql::CompareOp::kGe:
-      return !(lhs < rhs);
-    case pietql::CompareOp::kEq:
-      return lhs == rhs;
-  }
-  return false;
-}
-
-const Layer* ResolveLayer(const QueryContext& context,
-                          const std::string& name) {
-  if (context.gis == nullptr) {
-    return nullptr;
-  }
-  const auto layer = context.gis->GetLayer(name);
-  return layer.ok() ? layer.ValueOrDie() : nullptr;
-}
-
-std::string GeoEntity(size_t index, const pietql::GeoCondition& cond) {
-  const std::string entity = "geo WHERE clause " + std::to_string(index + 1);
-  switch (cond.kind) {
-    case pietql::GeoCondition::Kind::kAttrCompare:
-      return entity + " (ATTR layer." + cond.a.name + ", " + cond.attribute +
-             ")";
-    case pietql::GeoCondition::Kind::kIntersection:
-      return entity + " (INTERSECTION layer." + cond.a.name + ", layer." +
-             cond.b.name + ")";
-    case pietql::GeoCondition::Kind::kContains:
-      return entity + " (CONTAINS layer." + cond.a.name + ", layer." +
-             cond.b.name + ")";
-  }
-  return entity;
-}
-
-/// Flows the over-approximate satisfying id set through the geo WHERE
-/// conjunction. Returns the final set; nullopt when the linter cannot
-/// reason about the query (unknown layer, malformed select).
-std::optional<std::vector<GeometryId>> LintGeoPart(
-    const QueryContext& context, const pietql::GeoQuery& geo,
-    DiagnosticList* out) {
-  if (geo.select.empty()) {
-    return std::nullopt;
-  }
-  const std::string& result_name = geo.select.front().name;
-  const Layer* layer = ResolveLayer(context, result_name);
-  if (layer == nullptr) {
-    return std::nullopt;  // query-unknown-layer territory.
-  }
-
-  std::vector<GeometryId> current(layer->ids());
-  std::sort(current.begin(), current.end());
-  bool abstained = false;
-  for (size_t i = 0; i < geo.where.size(); ++i) {
-    const pietql::GeoCondition& cond = geo.where[i];
-    if (cond.a.name != result_name) {
-      return std::nullopt;  // The evaluator rejects this shape outright.
+  for (size_t i = 0; i < facts.clauses.size(); ++i) {
+    const GeoClauseFacts& clause = facts.clauses[i];
+    if (!clause.resolved) {
+      continue;
     }
-    const std::string entity = GeoEntity(i, cond);
-    // The clause's satisfying set over the whole layer. Attr comparisons
-    // are exact; spatial clauses over-approximate with bounding boxes (a
-    // disjoint box proves the geometric test false, so an empty set is
-    // still a proof of deadness).
-    std::vector<GeometryId> satisfying;
-    bool exact = false;
-    switch (cond.kind) {
-      case pietql::GeoCondition::Kind::kAttrCompare: {
-        exact = true;
-        for (const GeometryId id : layer->ids()) {
-          const auto v = layer->GetAttribute(id, cond.attribute);
-          if (v.ok() && CompareValues(v.ValueOrDie(), cond.op, cond.literal)) {
-            satisfying.push_back(id);
-          }
-        }
-        break;
-      }
-      case pietql::GeoCondition::Kind::kIntersection:
-      case pietql::GeoCondition::Kind::kContains: {
-        const Layer* other = ResolveLayer(context, cond.b.name);
-        if (other == nullptr) {
-          abstained = true;
-          continue;
-        }
-        for (const GeometryId id : layer->ids()) {
-          const auto bounds = layer->BoundsOf(id);
-          if (bounds.ok() &&
-              !other->CandidatesInBox(bounds.ValueOrDie()).empty()) {
-            satisfying.push_back(id);
-          }
-        }
-        break;
-      }
-    }
-    std::sort(satisfying.begin(), satisfying.end());
-    if (satisfying.empty()) {
-      out->AddWarning("lint-dead-clause", entity,
-                      "no element of layer '" + result_name +
+    if (clause.satisfying.empty()) {
+      out->AddWarning("lint-dead-clause", GeoClauseEntity(i, geo.where[i]),
+                      "no element of layer '" + facts.result_name +
                           "' can satisfy this clause; it always filters "
                           "everything");
-    } else if (exact && std::includes(satisfying.begin(), satisfying.end(),
-                                      current.begin(), current.end())) {
-      out->AddNote("lint-redundant-clause", entity,
+    } else if (clause.redundant) {
+      out->AddNote("lint-redundant-clause", GeoClauseEntity(i, geo.where[i]),
                    "every remaining element satisfies this clause; it "
                    "filters nothing",
                    "drop this clause");
     }
-    std::vector<GeometryId> next;
-    std::set_intersection(current.begin(), current.end(), satisfying.begin(),
-                          satisfying.end(), std::back_inserter(next));
-    current = std::move(next);
   }
-  if (!geo.where.empty() && !abstained && current.empty()) {
+  if (facts.ProvesEmpty()) {
     out->AddWarning("lint-empty-region", "geo WHERE clauses",
                     "the conjunction provably selects no geometry of layer "
-                    "'" + result_name + "'; the result region is empty");
+                    "'" + facts.result_name + "'; the result region is empty");
   }
-  if (abstained) {
-    return std::nullopt;
-  }
-  return current;
 }
 
 }  // namespace
@@ -167,24 +50,22 @@ std::optional<std::vector<GeometryId>> LintGeoPart(
 DiagnosticList LintQuery(const QueryContext& context,
                          const pietql::Query& query) {
   DiagnosticList out;
-  const std::optional<std::vector<GeometryId>> region =
-      LintGeoPart(context, query.geo, &out);
+  const PlanFacts facts = AnalyzePlan(context.gis, query);
+  LintGeoPart(query.geo, facts.geo, &out);
   if (!query.mo) {
     return out;
   }
   const pietql::MoQuery& mo = *query.mo;
 
-  TimeAbstract acc;
   bool any_time_dead = false;
-  size_t windows = 0;
   size_t rollup_equals = 0;
+  size_t next_rollup = 0;  // Index into facts.mo.rollup_folds.
   std::string fastpath_fixit;
   for (size_t i = 0; i < mo.where.size(); ++i) {
     const pietql::MoCondition& cond = mo.where[i];
-    const std::string entity = "mo WHERE clause " + std::to_string(i + 1);
+    const std::string entity = MoClauseEntity(i);
     switch (cond.kind) {
       case pietql::MoCondition::Kind::kTimeBetween: {
-        ++windows;
         if (cond.t1 < cond.t0) {
           any_time_dead = true;
           out.AddWarning("lint-dead-clause", entity + " (T BETWEEN)",
@@ -193,34 +74,30 @@ DiagnosticList LintQuery(const QueryContext& context,
                              " precedes lower bound " + FormatNumber(cond.t0),
                          "T BETWEEN " + FormatNumber(cond.t1) + " AND " +
                              FormatNumber(cond.t0));
-        } else {
-          acc.MeetWindow(temporal::Interval(temporal::TimePoint(cond.t0),
-                                            temporal::TimePoint(cond.t1)));
         }
         break;
       }
       case pietql::MoCondition::Kind::kTimeEquals: {
+        const TimeFold fold = facts.mo.rollup_folds[next_rollup++];
         if (!temporal::TimeDimension::HasLevel(cond.time_level)) {
           break;  // query-unknown-time-level territory.
         }
         ++rollup_equals;  // Any rollup-equality disables window_only().
         const std::string clause_entity =
             entity + " (TIME." + cond.time_level + ")";
-        switch (acc.MeetLevelEquals(cond.time_level, cond.literal)) {
+        const std::string clause =
+            "TIME." + cond.time_level + " = " + cond.literal.ToString();
+        switch (fold) {
           case TimeFold::kDead:
             any_time_dead = true;
             out.AddWarning("lint-dead-clause", clause_entity,
-                           "TIME." + cond.time_level + " = " +
-                               cond.literal.ToString() +
-                               " matches no instant; " +
+                           clause + " matches no instant; " +
                                cond.literal.ToString() +
                                " is not a member of this level");
             break;
           case TimeFold::kAlways:
             out.AddNote("lint-redundant-clause", clause_entity,
-                        "TIME." + cond.time_level + " = " +
-                            cond.literal.ToString() +
-                            " holds at every instant",
+                        clause + " holds at every instant",
                         "drop this clause");
             break;
           case TimeFold::kFolded:
@@ -231,8 +108,7 @@ DiagnosticList LintQuery(const QueryContext& context,
           const auto window =
               TimeAbstract::LevelEqualsWindow(cond.time_level, cond.literal);
           if (window) {
-            fastpath_fixit = "rewrite TIME." + cond.time_level + " = " +
-                             cond.literal.ToString() + " as T BETWEEN " +
+            fastpath_fixit = "rewrite " + clause + " as T BETWEEN " +
                              FormatNumber(window->begin.seconds) + " AND " +
                              FormatNumber(window->end.seconds);
           }
@@ -242,7 +118,7 @@ DiagnosticList LintQuery(const QueryContext& context,
       case pietql::MoCondition::Kind::kNearLayer: {
         const std::string clause_entity =
             entity + " (NEAR layer." + cond.near_layer + ")";
-        const Layer* near = ResolveLayer(context, cond.near_layer);
+        const gis::Layer* near = ResolveLayer(context.gis, cond.near_layer);
         if (cond.radius < 0.0) {
           out.AddWarning("lint-contradictory-spatial", clause_entity,
                          "radius " + FormatNumber(cond.radius) +
@@ -257,14 +133,12 @@ DiagnosticList LintQuery(const QueryContext& context,
       }
       case pietql::MoCondition::Kind::kInsideResult:
       case pietql::MoCondition::Kind::kPassesThroughResult: {
-        const bool inside =
-            cond.kind == pietql::MoCondition::Kind::kInsideResult;
-        if (region.has_value() && !query.geo.where.empty() &&
-            region->empty()) {
+        if (facts.geo.ProvesEmpty()) {
           out.AddWarning(
               "lint-contradictory-spatial",
-              entity + (inside ? " (INSIDE RESULT)"
-                               : " (PASSES THROUGH RESULT)"),
+              entity + (cond.kind == pietql::MoCondition::Kind::kInsideResult
+                            ? " (INSIDE RESULT)"
+                            : " (PASSES THROUGH RESULT)"),
               "the geometric part provably selects no geometry, so this "
               "condition can never hold");
         }
@@ -272,12 +146,12 @@ DiagnosticList LintQuery(const QueryContext& context,
       }
     }
   }
-  if (acc.IsBottom() && !any_time_dead) {
+  if (facts.mo.time.IsBottom() && !any_time_dead) {
     out.AddWarning("lint-empty-time", "mo WHERE clauses",
                    "the time predicates are individually satisfiable but "
                    "their conjunction matches no instant");
   }
-  if (windows > 0 && rollup_equals > 0) {
+  if (!facts.mo.windows.empty() && rollup_equals > 0) {
     out.AddNote("lint-fastpath-defeated", "mo WHERE clauses",
                 "mixing T BETWEEN with TIME.<level> = disables the "
                 "window-only SamplesMatchingTime binary-search fast path; "

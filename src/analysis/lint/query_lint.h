@@ -10,13 +10,14 @@
 
 namespace piet::analysis::lint {
 
-/// Abstract-interpretation dataflow over a parsed Piet-QL query against the
-/// loaded schema, without evaluating anything. The geometric part flows a
-/// shrinking over-approximate satisfying set (with its bounding box) through
-/// the WHERE conjunction; the moving-object part folds time predicates into
-/// the TimeAbstract domain. Because every abstract step over-approximates,
-/// each finding is a proof: a dead clause really matches nothing, an empty
-/// region really selects nothing.
+/// Abstract-interpretation findings over a parsed Piet-QL query against the
+/// loaded schema, without evaluating anything. The dataflow itself is the
+/// shared AnalyzePlan (analysis/plan_facts.h): the geometric part flows a
+/// shrinking over-approximate satisfying set through the WHERE conjunction;
+/// the moving-object part folds time predicates into the TimeAbstract
+/// domain under the evaluator's semantics. Because every abstract step
+/// over-approximates, each finding is a proof: a dead clause really matches
+/// nothing, an empty region really selects nothing.
 ///
 /// Check-ID catalog (stable; see DESIGN.md §11). Query findings are
 /// warnings/notes — the query still evaluates, to an empty or trivial
@@ -27,8 +28,11 @@ namespace piet::analysis::lint {
 ///   lint-redundant-clause     (note) one clause provably filters nothing
 ///   lint-empty-region         (warning) the geo WHERE conjunction selects
 ///                             no geometry
-///   lint-empty-time           (warning) the time conjunction is
-///                             unsatisfiable though each clause alone is not
+///   lint-empty-time           (warning) the time predicate is
+///                             unsatisfiable though each clause alone is not;
+///                             like the evaluator it meets only the LAST
+///                             T BETWEEN (a later window replaces an earlier
+///                             one) with every TIME.<level> = clause
 ///   lint-contradictory-spatial (warning) a spatial MO condition can never
 ///                             hold (empty result region, empty NEAR layer,
 ///                             negative radius)

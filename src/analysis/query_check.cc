@@ -3,6 +3,7 @@
 #include <optional>
 #include <string>
 
+#include "analysis/plan_facts.h"
 #include "gis/layer.h"
 #include "temporal/time_dimension.h"
 #include "temporal/time_point.h"
@@ -46,18 +47,9 @@ std::string_view ClassName(TypeClass c) {
   return "unknown";
 }
 
-const Layer* ResolveLayer(const QueryContext& context,
-                          const std::string& name) {
-  if (context.gis == nullptr) {
-    return nullptr;
-  }
-  auto layer = context.gis->GetLayer(name);
-  return layer.ok() ? layer.ValueOrDie() : nullptr;
-}
-
 void CheckLayerExists(const QueryContext& context, const std::string& name,
                       const std::string& entity, DiagnosticList* out) {
-  if (ResolveLayer(context, name) == nullptr) {
+  if (ResolveLayer(context.gis, name) == nullptr) {
     out->AddError("query-unknown-layer", entity,
                   "layer '" + name + "' is not registered in the GIS "
                   "dimension instance");
@@ -67,7 +59,7 @@ void CheckLayerExists(const QueryContext& context, const std::string& name,
 void CheckAttrCondition(const QueryContext& context,
                         const pietql::GeoCondition& cond,
                         const std::string& entity, DiagnosticList* out) {
-  const Layer* layer = ResolveLayer(context, cond.a.name);
+  const Layer* layer = ResolveLayer(context.gis, cond.a.name);
   if (layer == nullptr) {
     return;  // Already reported as query-unknown-layer.
   }
@@ -137,7 +129,7 @@ void CheckSpatialRollup(const QueryContext& context,
                         const std::string& result_layer,
                         const std::string& condition_name,
                         const std::string& entity, DiagnosticList* out) {
-  const Layer* layer = ResolveLayer(context, result_layer);
+  const Layer* layer = ResolveLayer(context.gis, result_layer);
   if (layer == nullptr) {
     return;  // Already reported against the SELECT clause.
   }
@@ -178,20 +170,14 @@ DiagnosticList AnalyzeQuery(const QueryContext& context,
 
   for (size_t i = 0; i < query.geo.where.size(); ++i) {
     const pietql::GeoCondition& cond = query.geo.where[i];
-    std::string entity = "geo WHERE clause " + std::to_string(i + 1);
+    const std::string entity = GeoClauseEntity(i, cond);
     switch (cond.kind) {
       case pietql::GeoCondition::Kind::kAttrCompare:
-        entity += " (ATTR layer." + cond.a.name + ", " + cond.attribute + ")";
         CheckLayerExists(context, cond.a.name, entity, &out);
         CheckAttrCondition(context, cond, entity, &out);
         break;
       case pietql::GeoCondition::Kind::kIntersection:
       case pietql::GeoCondition::Kind::kContains:
-        entity += cond.kind == pietql::GeoCondition::Kind::kIntersection
-                      ? " (INTERSECTION layer." + cond.a.name + ", layer." +
-                            cond.b.name + ")"
-                      : " (CONTAINS layer." + cond.a.name + ", layer." +
-                            cond.b.name + ")";
         CheckLayerExists(context, cond.a.name, entity, &out);
         CheckLayerExists(context, cond.b.name, entity, &out);
         break;
@@ -218,18 +204,15 @@ DiagnosticList AnalyzeQuery(const QueryContext& context,
   const std::string result_layer =
       query.geo.select.empty() ? std::string() : query.geo.select.front().name;
 
-  int spatial_modes = 0;
   for (size_t i = 0; i < mo.where.size(); ++i) {
     const pietql::MoCondition& cond = mo.where[i];
-    std::string entity = "mo WHERE clause " + std::to_string(i + 1);
+    const std::string entity = MoClauseEntity(i);
     switch (cond.kind) {
       case pietql::MoCondition::Kind::kInsideResult:
-        ++spatial_modes;
         CheckSpatialRollup(context, result_layer, "INSIDE RESULT",
                            entity + " (INSIDE RESULT)", &out);
         break;
       case pietql::MoCondition::Kind::kPassesThroughResult:
-        ++spatial_modes;
         CheckSpatialRollup(context, result_layer, "PASSES THROUGH RESULT",
                            entity + " (PASSES THROUGH RESULT)", &out);
         break;
@@ -242,11 +225,10 @@ DiagnosticList AnalyzeQuery(const QueryContext& context,
         // linter reports them as lint-dead-clause with a swap fix-it.
         break;
       case pietql::MoCondition::Kind::kNearLayer: {
-        ++spatial_modes;
         std::string near_entity =
             entity + " (NEAR layer." + cond.near_layer + ")";
         CheckLayerExists(context, cond.near_layer, near_entity, &out);
-        const Layer* near = ResolveLayer(context, cond.near_layer);
+        const Layer* near = ResolveLayer(context.gis, cond.near_layer);
         if (near != nullptr && near->kind() != GeometryKind::kNode &&
             near->kind() != GeometryKind::kPoint) {
           out.AddError("query-layer-kind", near_entity,
@@ -259,7 +241,8 @@ DiagnosticList AnalyzeQuery(const QueryContext& context,
       }
     }
   }
-  if (spatial_modes > 1) {
+  // Counted the evaluator's way: a repeated INSIDE RESULT is one mode.
+  if (AnalyzeMo(mo).spatial_modes() > 1) {
     out.AddError("query-conflicting-conditions", "mo WHERE clauses",
                  "INSIDE RESULT, PASSES THROUGH RESULT and NEAR are "
                  "mutually exclusive");

@@ -1,7 +1,6 @@
 #include "analysis/rewrite/rewriter.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -10,80 +9,18 @@
 #include <utility>
 
 #include "analysis/lint/time_domain.h"
+#include "analysis/plan_facts.h"
 #include "gis/layer.h"
 #include "temporal/interval.h"
 
 namespace piet::analysis::rewrite {
 
 namespace pietql = core::pietql;
-using gis::GeometryId;
 using gis::Layer;
 using temporal::Interval;
 using temporal::TimePoint;
 
 namespace {
-
-/// Shortest round-trip rendering, matching the printer (no 6-digit
-/// truncation): "50", "1.5", "189493200".
-std::string FormatNumber(double v) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc()) {
-    return "0";
-  }
-  std::string out(buf, ptr);
-  if (out.size() > 2 && out.substr(out.size() - 2) == ".0") {
-    out.resize(out.size() - 2);
-  }
-  return out;
-}
-
-bool CompareValues(const Value& lhs, pietql::CompareOp op, const Value& rhs) {
-  switch (op) {
-    case pietql::CompareOp::kLt:
-      return lhs < rhs;
-    case pietql::CompareOp::kGt:
-      return rhs < lhs;
-    case pietql::CompareOp::kLe:
-      return !(rhs < lhs);
-    case pietql::CompareOp::kGe:
-      return !(lhs < rhs);
-    case pietql::CompareOp::kEq:
-      return lhs == rhs;
-  }
-  return false;
-}
-
-const Layer* ResolveLayer(const RewriteContext& context,
-                          const std::string& name) {
-  if (context.gis == nullptr) {
-    return nullptr;
-  }
-  const auto layer = context.gis->GetLayer(name);
-  return layer.ok() ? layer.ValueOrDie() : nullptr;
-}
-
-/// Same entity naming as the linter, so EXPLAIN output and diagnostics
-/// point at clauses consistently.
-std::string GeoEntity(size_t index, const pietql::GeoCondition& cond) {
-  const std::string entity = "geo WHERE clause " + std::to_string(index + 1);
-  switch (cond.kind) {
-    case pietql::GeoCondition::Kind::kAttrCompare:
-      return entity + " (ATTR layer." + cond.a.name + ", " + cond.attribute +
-             ")";
-    case pietql::GeoCondition::Kind::kIntersection:
-      return entity + " (INTERSECTION layer." + cond.a.name + ", layer." +
-             cond.b.name + ")";
-    case pietql::GeoCondition::Kind::kContains:
-      return entity + " (CONTAINS layer." + cond.a.name + ", layer." +
-             cond.b.name + ")";
-  }
-  return entity;
-}
-
-std::string MoEntity(size_t index) {
-  return "mo WHERE clause " + std::to_string(index + 1);
-}
 
 /// Fraction of overlay cells carrying any label of `layer` — the Sec. 5
 /// precomputation as a selectivity statistic. 1.0 (no refinement) when
@@ -142,144 +79,79 @@ bool OverlayHasLayer(const RewriteContext& context, const Layer* layer) {
   return false;
 }
 
-std::vector<GeometryId> SortedIntersection(const std::vector<GeometryId>& a,
-                                           const std::vector<GeometryId>& b) {
-  std::vector<GeometryId> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
 /// Rewrites the geometric part in place: drops provably redundant ATTR
 /// clauses, proves the region empty, and orders surviving clauses by
 /// estimated cost/selectivity. Abstains (leaves the part untouched) in
 /// every shape where the evaluator reports an error — a rewrite must never
 /// suppress one.
-void RewriteGeoPart(const RewriteContext& context, RewritePlan* plan) {
+void RewriteGeoPart(const RewriteContext& context, const GeoFacts& facts,
+                    RewritePlan* plan) {
   pietql::GeoQuery& geo = plan->query.geo;
   plan->geo_clauses_before = geo.where.size();
   plan->geo_clauses_after = geo.where.size();
-  if (geo.select.empty()) {
+  if (!facts.anchored) {
     return;  // Evaluation errors out; nothing to optimize.
   }
-  const std::string result_name = geo.select.front().name;
-  const Layer* layer = ResolveLayer(context, result_name);
-  if (layer == nullptr) {
-    return;  // Unknown result layer: evaluation errors out.
-  }
-  for (const pietql::GeoCondition& cond : geo.where) {
-    if (cond.a.name != result_name) {
-      return;  // The evaluator rejects this shape outright.
-    }
-  }
 
-  struct ClauseFacts {
-    size_t orig = 0;
-    bool resolved = true;  // False when the b-layer is unknown.
-    bool drop = false;
-    // 0 = exact attribute test, 1 = overlay/cache-servable spatial test,
-    // 2 = plain geometric test. Spatial clauses only split into 1 vs 2
-    // when context.agg_cache is set; otherwise they all land in class 2,
-    // so the flag being off keeps the ordering byte-identical to the
-    // pre-cache rewriter (comparisons are relative).
+  // 0 = exact attribute test, 1 = overlay/cache-servable spatial test,
+  // 2 = plain geometric test. Spatial clauses only split into 1 vs 2 when
+  // context.agg_cache is set; otherwise they all land in class 2, so the
+  // flag being off keeps the ordering byte-identical to the pre-cache
+  // rewriter (comparisons are relative).
+  struct Rank {
     int cost_class = 2;
     double selectivity = 1.0;
   };
-
-  std::vector<GeometryId> current(layer->ids());
-  std::sort(current.begin(), current.end());
   const double universe =
-      static_cast<double>(std::max<size_t>(layer->ids().size(), 1));
-  bool abstained = false;
-  std::vector<ClauseFacts> facts(geo.where.size());
+      static_cast<double>(std::max<size_t>(facts.layer->ids().size(), 1));
+  std::vector<Rank> ranks(geo.where.size());
+  std::vector<size_t> order;
   for (size_t i = 0; i < geo.where.size(); ++i) {
-    const pietql::GeoCondition& cond = geo.where[i];
-    ClauseFacts& f = facts[i];
-    f.orig = i;
-    // The clause's satisfying set over the whole layer, exactly as the
-    // lint dataflow computes it: attr comparisons are exact, spatial
-    // clauses over-approximate with bounding boxes.
-    std::vector<GeometryId> satisfying;
-    bool exact = false;
-    switch (cond.kind) {
-      case pietql::GeoCondition::Kind::kAttrCompare: {
-        exact = true;
-        f.cost_class = 0;
-        for (const GeometryId id : layer->ids()) {
-          const auto v = layer->GetAttribute(id, cond.attribute);
-          if (v.ok() && CompareValues(v.ValueOrDie(), cond.op, cond.literal)) {
-            satisfying.push_back(id);
-          }
-        }
-        break;
-      }
-      case pietql::GeoCondition::Kind::kIntersection:
-      case pietql::GeoCondition::Kind::kContains: {
-        const Layer* other = ResolveLayer(context, cond.b.name);
-        if (other == nullptr) {
-          // Evaluation errors on the unknown layer; never drop or reorder
-          // around it.
-          abstained = true;
-          f.resolved = false;
-          continue;
-        }
-        for (const GeometryId id : layer->ids()) {
-          const auto bounds = layer->BoundsOf(id);
-          if (bounds.ok() &&
-              !other->CandidatesInBox(bounds.ValueOrDie()).empty()) {
-            satisfying.push_back(id);
-          }
-        }
-        f.selectivity = OverlayCoverage(context, other);
-        if (context.agg_cache && OverlayHasLayer(context, other)) {
-          // The aggregate cache answers overlay-covered layers from
-          // materialized partials — cheaper than a geometric test, so
-          // prefer (but never reorder past an exact attribute test).
-          f.cost_class = 1;
-        }
-        break;
+    const GeoClauseFacts& clause = facts.clauses[i];
+    Rank& rank = ranks[i];
+    if (geo.where[i].kind == pietql::GeoCondition::Kind::kAttrCompare) {
+      rank.cost_class = 0;
+    } else if (clause.resolved) {
+      rank.selectivity = OverlayCoverage(context, clause.other);
+      if (context.agg_cache && OverlayHasLayer(context, clause.other)) {
+        // The aggregate cache answers overlay-covered layers from
+        // materialized partials — cheaper than a geometric test, so
+        // prefer (but never reorder past an exact attribute test).
+        rank.cost_class = 1;
       }
     }
-    std::sort(satisfying.begin(), satisfying.end());
-    f.selectivity *= static_cast<double>(satisfying.size()) / universe;
-    if (exact &&
-        std::includes(satisfying.begin(), satisfying.end(), current.begin(),
-                      current.end())) {
+    rank.selectivity *=
+        static_cast<double>(clause.satisfying.size()) / universe;
+    if (clause.redundant) {
       // Every still-possible candidate satisfies the clause, and the test
       // is exact — the clause cannot change the result from any position.
-      f.drop = true;
       plan->applied.push_back(
-          {"rw-drop-redundant-clause", GeoEntity(i, cond),
-           "every remaining candidate of layer '" + result_name +
+          {"rw-drop-redundant-clause", GeoClauseEntity(i, geo.where[i]),
+           "every remaining candidate of layer '" + facts.result_name +
                "' satisfies this clause; dropped"});
-      continue;
+    } else {
+      order.push_back(i);
     }
-    current = SortedIntersection(current, satisfying);
   }
 
-  if (!abstained && !geo.where.empty() && current.empty()) {
+  if (facts.ProvesEmpty()) {
     // The over-approximate flow emptied out, which proves the exact result
     // empty. All layers resolved, so evaluation cannot error either way.
     plan->geo_zero = true;
     plan->applied.push_back(
         {"rw-empty-region", "geo WHERE",
-         "the conjunction selects no geometry of layer '" + result_name +
-             "'; short-circuiting to an empty result"});
+         "the conjunction selects no geometry of layer '" +
+             facts.result_name + "'; short-circuiting to an empty result"});
   }
 
-  std::vector<size_t> order;
-  for (size_t i = 0; i < geo.where.size(); ++i) {
-    if (!facts[i].drop) {
-      order.push_back(i);
-    }
-  }
-  if (!abstained && !plan->geo_zero && order.size() >= 2) {
+  // An unknown layer makes evaluation error; never reorder around it.
+  if (facts.resolved && !plan->geo_zero && order.size() >= 2) {
     std::vector<size_t> sorted = order;
     std::stable_sort(sorted.begin(), sorted.end(), [&](size_t a, size_t b) {
-      if (facts[a].cost_class != facts[b].cost_class) {
-        return facts[a].cost_class < facts[b].cost_class;
+      if (ranks[a].cost_class != ranks[b].cost_class) {
+        return ranks[a].cost_class < ranks[b].cost_class;
       }
-      return facts[a].selectivity < facts[b].selectivity;
+      return ranks[a].selectivity < ranks[b].selectivity;
     });
     if (sorted != order) {
       std::ostringstream detail;
@@ -309,7 +181,8 @@ void RewriteGeoPart(const RewriteContext& context, RewritePlan* plan) {
 /// semantics are: rollup-equality clauses accumulate, but a later
 /// T BETWEEN *replaces* an earlier one (TimePredicate::Window). All proofs
 /// here follow those semantics, not plain conjunction reading.
-void RewriteMoPart(const RewriteContext& context, RewritePlan* plan) {
+void RewriteMoPart(const RewriteContext& context, const MoFacts& facts,
+                   RewritePlan* plan) {
   if (!plan->query.mo) {
     return;
   }
@@ -317,39 +190,13 @@ void RewriteMoPart(const RewriteContext& context, RewritePlan* plan) {
   plan->mo_clauses_before = mo.where.size();
   plan->mo_clauses_after = mo.where.size();
 
-  bool passes = false;
-  bool inside = false;
-  std::optional<size_t> near_idx;
-  pietql::MoCondition near_copy;
-  bool interval_hostile_rollup = false;
-  for (size_t i = 0; i < mo.where.size(); ++i) {
-    const pietql::MoCondition& cond = mo.where[i];
-    switch (cond.kind) {
-      case pietql::MoCondition::Kind::kPassesThroughResult:
-        passes = true;
-        break;
-      case pietql::MoCondition::Kind::kInsideResult:
-        inside = true;
-        break;
-      case pietql::MoCondition::Kind::kNearLayer:
-        near_idx = i;
-        near_copy = cond;
-        break;
-      case pietql::MoCondition::Kind::kTimeEquals:
-        if (cond.time_level == "timeId" || cond.time_level == "minute") {
-          interval_hostile_rollup = true;
-        }
-        break;
-      case pietql::MoCondition::Kind::kTimeBetween:
-        break;
-    }
-  }
   // PASSES THROUGH evaluates via MatchingIntervals, which (a) rejects
   // timeId/minute rollups with an error a rewrite must not suppress, and
   // (b) keeps closed boundary instants a folded window would trim. Abstain
   // from every mo rewrite in the first case, and from window folding in
   // the second.
-  if (passes && interval_hostile_rollup) {
+  const bool passes = facts.passes;
+  if (passes && facts.sub_hour_rollup) {
     return;
   }
 
@@ -365,43 +212,30 @@ void RewriteMoPart(const RewriteContext& context, RewritePlan* plan) {
   }
 
   // Always-true rollup constraints (TIME.all = 'all') filter nothing.
-  for (Item& item : items) {
-    if (item.cond.kind != pietql::MoCondition::Kind::kTimeEquals) {
+  for (size_t r = 0; r < facts.rollups.size(); ++r) {
+    if (facts.rollup_folds[r] != lint::TimeFold::kAlways) {
       continue;
     }
-    lint::TimeAbstract scratch;
-    if (scratch.MeetLevelEquals(item.cond.time_level, item.cond.literal) ==
-        lint::TimeFold::kAlways) {
-      item.drop = true;
-      plan->applied.push_back(
-          {"rw-drop-redundant-clause", MoEntity(item.orig),
-           "TIME." + item.cond.time_level + " = " +
-               item.cond.literal.ToString() +
-               " holds at every instant; dropped"});
-    }
+    Item& item = items[facts.rollups[r]];
+    item.drop = true;
+    plan->applied.push_back(
+        {"rw-drop-redundant-clause", MoClauseEntity(item.orig),
+         "TIME." + item.cond.time_level + " = " +
+             item.cond.literal.ToString() +
+             " holds at every instant; dropped"});
   }
 
   // A later T BETWEEN replaces an earlier one, so every window but the
   // last is dead weight.
-  std::vector<size_t> windows;
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (!items[i].drop &&
-        items[i].cond.kind == pietql::MoCondition::Kind::kTimeBetween) {
-      windows.push_back(i);
-    }
-  }
-  for (size_t w = 0; w + 1 < windows.size(); ++w) {
-    Item& item = items[windows[w]];
+  const std::optional<size_t> last_window = facts.last_window();
+  for (size_t w = 0; w + 1 < facts.windows.size(); ++w) {
+    Item& item = items[facts.windows[w]];
     item.drop = true;
     plan->applied.push_back(
-        {"rw-drop-redundant-clause", MoEntity(item.orig),
+        {"rw-drop-redundant-clause", MoClauseEntity(item.orig),
          "shadowed by the later T BETWEEN in clause " +
-             std::to_string(items[windows.back()].orig + 1) +
+             std::to_string(*last_window + 1) +
              " (the last window wins); dropped"});
-  }
-  std::optional<size_t> last_window;
-  if (!windows.empty()) {
-    last_window = windows.back();
   }
 
   // Constant-fold absolute rollup equalities into one T BETWEEN window,
@@ -413,10 +247,9 @@ void RewriteMoPart(const RewriteContext& context, RewritePlan* plan) {
   if (!passes) {
     std::vector<size_t> foldable;
     std::vector<Interval> fold_windows;
-    for (size_t i = 0; i < items.size(); ++i) {
+    for (const size_t i : facts.rollups) {
       const Item& item = items[i];
-      if (item.drop ||
-          item.cond.kind != pietql::MoCondition::Kind::kTimeEquals) {
+      if (item.drop) {
         continue;
       }
       auto window = lint::TimeAbstract::LevelEqualsWindow(
@@ -452,7 +285,7 @@ void RewriteMoPart(const RewriteContext& context, RewritePlan* plan) {
         Item& item = items[foldable[k]];
         item.drop = true;
         plan->applied.push_back(
-            {"rw-fold-time-window", MoEntity(item.orig),
+            {"rw-fold-time-window", MoClauseEntity(item.orig),
              "rewrote TIME." + item.cond.time_level + " = " +
                  item.cond.literal.ToString() + " as T BETWEEN " +
                  FormatNumber(fold_windows[k].begin.seconds) + " AND " +
@@ -486,19 +319,11 @@ void RewriteMoPart(const RewriteContext& context, RewritePlan* plan) {
   mo.where = std::move(rewritten);
   plan->mo_clauses_after = mo.where.size();
 
-  // Empty-time proof, under evaluator semantics: after the rewrites above
-  // at most one T BETWEEN remains, so a straight conjunction fold is
-  // faithful. Unfoldable clauses only shrink the concrete set further, so
-  // bottom still proves it empty.
-  lint::TimeAbstract acc;
-  for (const pietql::MoCondition& cond : mo.where) {
-    if (cond.kind == pietql::MoCondition::Kind::kTimeBetween) {
-      acc.MeetWindow(Interval(TimePoint(cond.t0), TimePoint(cond.t1)));
-    } else if (cond.kind == pietql::MoCondition::Kind::kTimeEquals) {
-      acc.MeetLevelEquals(cond.time_level, cond.literal);
-    }
-  }
-  if (acc.IsBottom()) {
+  // Empty-time proof over the rewritten clauses, which fold absolute
+  // rollups more tightly (half-open upper ends) than the original ones.
+  // Unfoldable clauses only shrink the concrete set further, so bottom
+  // still proves it empty.
+  if (AnalyzeMo(mo).time.IsBottom()) {
     plan->mo_zero = true;
     plan->applied.push_back(
         {"rw-empty-time", "mo WHERE",
@@ -510,28 +335,29 @@ void RewriteMoPart(const RewriteContext& context, RewritePlan* plan) {
   // tuple. Validations the evaluator performs (layer kinds, mutual
   // exclusivity, unknown names) run before its scan loops, so the short
   // circuit never masks an error.
-  if (!plan->mo_zero && near_idx) {
-    if (near_copy.radius < 0.0) {
+  if (!plan->mo_zero && facts.near) {
+    const pietql::MoCondition& near = items[*facts.near].cond;
+    if (near.radius < 0.0) {
       plan->mo_zero = true;
       plan->applied.push_back(
-          {"rw-contradictory-spatial", MoEntity(*near_idx),
-           "NEAR radius " + FormatNumber(near_copy.radius) +
+          {"rw-contradictory-spatial", MoClauseEntity(*facts.near),
+           "NEAR radius " + FormatNumber(near.radius) +
                " is negative; no sample can qualify"});
     } else {
-      const Layer* nodes = ResolveLayer(context, near_copy.near_layer);
+      const Layer* nodes = ResolveLayer(context.gis, near.near_layer);
       if (nodes != nullptr &&
           (nodes->kind() == gis::GeometryKind::kNode ||
            nodes->kind() == gis::GeometryKind::kPoint) &&
           nodes->size() == 0) {
         plan->mo_zero = true;
         plan->applied.push_back(
-            {"rw-contradictory-spatial", MoEntity(*near_idx),
-             "NEAR layer '" + near_copy.near_layer +
+            {"rw-contradictory-spatial", MoClauseEntity(*facts.near),
+             "NEAR layer '" + near.near_layer +
                  "' has no elements; no sample can qualify"});
       }
     }
   }
-  if (!plan->mo_zero && (inside || passes) && plan->geo_zero) {
+  if (!plan->mo_zero && (facts.inside || passes) && plan->geo_zero) {
     plan->mo_zero = true;
     plan->applied.push_back(
         {"rw-contradictory-spatial", "mo WHERE",
@@ -581,8 +407,9 @@ RewritePlan RewriteQuery(const RewriteContext& context,
                          const pietql::Query& query) {
   RewritePlan plan;
   plan.query = query;
-  RewriteGeoPart(context, &plan);
-  RewriteMoPart(context, &plan);
+  const PlanFacts facts = AnalyzePlan(context.gis, query);
+  RewriteGeoPart(context, facts.geo, &plan);
+  RewriteMoPart(context, facts.mo, &plan);
   return plan;
 }
 

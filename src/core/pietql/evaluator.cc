@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "analysis/lint/query_lint.h"
+#include "analysis/plan_facts.h"
 #include "analysis/query_check.h"
 #include "common/parallel.h"
 #include "core/pietql/parser.h"
@@ -157,20 +158,20 @@ Result<bool> Evaluator::ElementContains(const Layer& a, GeometryId ida,
 
 namespace {
 
-bool CompareValues(const Value& lhs, CompareOp op, const Value& rhs) {
-  switch (op) {
-    case CompareOp::kLt:
-      return lhs < rhs;
-    case CompareOp::kGt:
-      return rhs < lhs;
-    case CompareOp::kLe:
-      return !(rhs < lhs);
-    case CompareOp::kGe:
-      return !(lhs < rhs);
-    case CompareOp::kEq:
-      return lhs == rhs;
+/// The rewriter's view of the database: the schema instance, plus the
+/// overlay and aggregate-cache mode that steer its selectivity ordering.
+analysis::rewrite::RewriteContext MakeRewriteContext(
+    const GeoOlapDatabase& db, aggcache::AggCacheMode agg_cache_mode) {
+  analysis::rewrite::RewriteContext context;
+  context.gis = &db.gis();
+  if (db.HasOverlay()) {
+    auto overlay = db.overlay();
+    if (overlay.ok()) {
+      context.overlay = overlay.ValueOrDie();
+      context.agg_cache = agg_cache_mode == aggcache::AggCacheMode::kOn;
+    }
   }
-  return false;
+  return context;
 }
 
 /// Region-C tuples of the moving-object part: (Oid, t) pairs.
@@ -212,7 +213,8 @@ Result<std::vector<GeometryId>> Evaluator::EvaluateGeoPart(
       case GeoCondition::Kind::kAttrCompare: {
         for (GeometryId id : current) {
           auto v = layer->GetAttribute(id, cond.attribute);
-          if (v.ok() && CompareValues(v.ValueOrDie(), cond.op, cond.literal)) {
+          if (v.ok() && analysis::CompareValues(v.ValueOrDie(), cond.op,
+                                                cond.literal)) {
             next.push_back(id);
           }
         }
@@ -257,18 +259,8 @@ analysis::rewrite::RewritePlan Evaluator::RewriteStage(
     const Query& query, obs::TraceCollector* trace, bool obs_on,
     QueryResult* result) const {
   obs::TraceSpan rewrite_span(trace, "rewrite");
-  analysis::rewrite::RewriteContext context;
-  context.gis = &db_->gis();
-  if (db_->HasOverlay()) {
-    auto overlay = db_->overlay();
-    if (overlay.ok()) {
-      context.overlay = overlay.ValueOrDie();
-      context.agg_cache =
-          agg_cache_mode_ == aggcache::AggCacheMode::kOn;
-    }
-  }
-  analysis::rewrite::RewritePlan plan =
-      analysis::rewrite::RewriteQuery(context, query);
+  analysis::rewrite::RewritePlan plan = analysis::rewrite::RewriteQuery(
+      MakeRewriteContext(*db_, agg_cache_mode_), query);
   rewrite_span.Attr("rules_applied",
                     static_cast<int64_t>(plan.applied.size()));
   rewrite_span.Attr("geo_clauses_before",
@@ -471,17 +463,34 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
     diagnostics.DowngradeErrorsToWarnings();
     result.diagnostics = std::move(diagnostics);
   }
-  // The estimate stage sits between analyze and rewrite: kOn derives
-  // sound static resource intervals from the catalog (no MOFT row is read
-  // and no block is decoded), exports them as the `estimate` span plus
-  // pietql.estimate.* counters, and applies the admission budget.
-  // Provably-over-budget queries are rejected here, before any scan;
-  // possibly-over queries continue with a warning attached. With no
-  // budget configured the stage is purely observational, so the evaluated
-  // result stays byte-identical to estimate mode kOff.
+  // The rewrite stage sits between analyze and estimate: kOn applies the
+  // lint dataflow's fix-its to a copy of the query and the pipeline below
+  // (the estimate included) works on the rewritten plan, results
+  // bit-identical by construction; kOff evaluates exactly the query given,
+  // byte-identical to the pre-rewriter pipeline. Analysis above always
+  // sees the ORIGINAL query.
+  analysis::rewrite::RewritePlan plan;
+  if (rewrite_mode_ == analysis::rewrite::RewriteMode::kOn) {
+    plan = RewriteStage(query, trace, obs_on, &result);
+  } else {
+    plan.query = query;
+  }
+  const Query* active = &plan.query;
+  const bool geo_zero = plan.geo_zero;
+  const bool mo_zero = plan.mo_zero;
+  // The estimate stage sits between rewrite and geo_filter: kOn derives
+  // sound static resource intervals for the plan about to run from the
+  // catalog (no MOFT row is read and no block is decoded), exports them as
+  // the `estimate` span plus pietql.estimate.* counters, and applies the
+  // admission budget. Provably-over-budget queries are rejected here,
+  // before any scan; possibly-over queries continue with a warning
+  // attached. With no budget configured the stage is purely
+  // observational, so the evaluated result stays byte-identical to
+  // estimate mode kOff.
   if (estimate_mode_ == analysis::estimate::EstimateMode::kOn) {
     obs::TraceSpan est_span(trace, "estimate");
-    auto est_or = EstimateQuery(query);
+    auto est_or = analysis::estimate::EstimateQuery(
+        BuildEstimateCatalog(*active), plan);
     if (!est_or.ok()) {
       est_span.Attr("error", est_or.status().ToString());
     } else {
@@ -517,24 +526,6 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
       }
     }
   }
-  // The rewrite stage sits between analyze and geo_filter: kOn applies the
-  // lint dataflow's fix-its to a copy of the query and the pipeline below
-  // evaluates the rewritten plan (results bit-identical by construction);
-  // kOff evaluates exactly the query given, byte-identical to the
-  // pre-rewriter pipeline. Analysis above always sees the ORIGINAL query.
-  const Query* active = &query;
-  Query rewritten_query;
-  bool geo_zero = false;
-  bool mo_zero = false;
-  if (rewrite_mode_ == analysis::rewrite::RewriteMode::kOn) {
-    analysis::rewrite::RewritePlan plan =
-        RewriteStage(query, trace, obs_on, &result);
-    geo_zero = plan.geo_zero;
-    mo_zero = plan.mo_zero;
-    rewritten_query = std::move(plan.query);
-    active = &rewritten_query;
-  }
-
   result.result_layer = active->geo.select.front().name;
   {
     obs::TraceSpan geo_span(trace, "geo_filter");
@@ -617,7 +608,7 @@ Result<QueryResult> Evaluator::EvaluateImpl(const Query& query,
   // fallback is also named on the moft_intersect span.
   std::string subhour_level = when.sub_hour_rollup_level();
   if (subhour_level.empty() && mo.group_by_level &&
-      (*mo.group_by_level == "timeId" || *mo.group_by_level == "minute")) {
+      temporal::IsSubHourLevel(*mo.group_by_level)) {
     subhour_level = *mo.group_by_level;
   }
   scan::PolygonSet wanted;
@@ -964,7 +955,6 @@ analysis::estimate::Catalog Evaluator::BuildEstimateCatalog(
     const Query& query) const {
   analysis::estimate::Catalog catalog;
   catalog.gis = &db_->gis();
-  catalog.rewrite_on = rewrite_mode_ == analysis::rewrite::RewriteMode::kOn;
   if (db_->HasOverlay()) {
     auto overlay = db_->overlay();
     if (overlay.ok()) {
@@ -989,8 +979,14 @@ analysis::estimate::Catalog Evaluator::BuildEstimateCatalog(
 
 Result<analysis::estimate::ResourceEstimate> Evaluator::EstimateQuery(
     const Query& query) const {
-  return analysis::estimate::EstimateQuery(BuildEstimateCatalog(query),
-                                           query);
+  analysis::rewrite::RewritePlan plan;
+  if (rewrite_mode_ == analysis::rewrite::RewriteMode::kOn) {
+    plan = analysis::rewrite::RewriteQuery(
+        MakeRewriteContext(*db_, agg_cache_mode_), query);
+  } else {
+    plan.query = query;
+  }
+  return analysis::estimate::EstimateQuery(BuildEstimateCatalog(query), plan);
 }
 
 Result<std::string> Evaluator::ExplainEstimate(std::string_view text) const {

@@ -82,7 +82,7 @@ class Evaluator {
   analysis::CheckMode check_mode() const { return check_mode_; }
 
   /// The static plan rewriter (analysis::rewrite). kOn rewrites the query
-  /// between analyze and geo_filter — dead-clause elimination, time-window
+  /// between analyze and estimate — dead-clause elimination, time-window
   /// folding, zero-row short circuits, selectivity ordering. Results are
   /// bit-identical to kOff; kOff evaluates exactly the given AST. The mode
   /// selects only the logical plan: both run the same scan operators and
@@ -106,7 +106,8 @@ class Evaluator {
   aggcache::AggCacheMode agg_cache_mode() const { return agg_cache_mode_; }
 
   /// The static resource estimator (analysis::estimate). kOn derives a
-  /// sound ResourceEstimate between analyze and rewrite, exports it as an
+  /// sound ResourceEstimate of the plan about to run (the rewrite stage's
+  /// output) between rewrite and geo_filter, exports it as an
   /// `estimate` span (and flight-recorder fields), and applies the
   /// admission budget: provably-over-budget queries are rejected with
   /// lint-est-* diagnostics before any row is scanned; possibly-over
@@ -151,8 +152,10 @@ class Evaluator {
   Result<ProfiledResult> EvaluateStringProfiled(std::string_view text) const;
 
   /// The static resource estimate for `query` against this evaluator's
-  /// database and modes, without evaluating anything. Works regardless of
-  /// estimate_mode (the mode only gates the in-pipeline stage).
+  /// database and modes, without evaluating anything: the plan is
+  /// rewritten first when rewrite_mode is kOn, as Evaluate would. Works
+  /// regardless of estimate_mode (the mode only gates the in-pipeline
+  /// stage).
   Result<analysis::estimate::ResourceEstimate> EstimateQuery(
       const Query& query) const;
 
@@ -195,7 +198,8 @@ class Evaluator {
       QueryResult result, obs::TraceCollector* trace, bool obs_on) const;
 
   /// The estimator's view of the database: schema instance, overlay
-  /// coverage, the named MOFT's storage stats, and this evaluator's modes.
+  /// coverage, the named MOFT's storage stats, and the aggregate-cache
+  /// mode.
   analysis::estimate::Catalog BuildEstimateCatalog(const Query& query) const;
 
   const GeoOlapDatabase* db_;

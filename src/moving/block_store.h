@@ -156,6 +156,10 @@ class MoftBlockStore {
   static MoftBlockStore Build(const MoftColumns& cols,
                               const BlockOptions& opts);
 
+  /// The zonemap of sealed spans [span_begin, span_end) of `cols`.
+  static BlockMeta ComputeMeta(const MoftColumns& cols, size_t span_begin,
+                               size_t span_end);
+
   size_t num_blocks() const { return blocks_.size(); }
   size_t total_rows() const { return total_rows_; }
   size_t total_spans() const { return total_spans_; }
@@ -204,9 +208,6 @@ class MoftBlockStore {
   };
 
   class MappedFile;
-
-  static BlockMeta ComputeMeta(const MoftColumns& cols, size_t span_begin,
-                               size_t span_end);
 
   std::unique_ptr<MoftColumns> AcquireScratch() const;
   void ReleaseScratch(std::unique_ptr<MoftColumns> scratch) const;

@@ -26,6 +26,7 @@ Moft::Moft(const Moft& other) {
   size_ = other.size_;
   staging_ = other.staging_;
   cols_ = other.cols_;
+  table_meta_ = other.table_meta_;
   block_options_ = other.block_options_;
   storage_epoch_ = other.storage_epoch_;
   read_only_ = other.read_only_;
@@ -44,6 +45,7 @@ Moft& Moft::operator=(const Moft& other) {
     size_ = other.size_;
     staging_ = other.staging_;
     cols_ = other.cols_;
+    table_meta_ = other.table_meta_;
     block_options_ = other.block_options_;
     storage_epoch_ = other.storage_epoch_;
     read_only_ = other.read_only_;
@@ -63,6 +65,7 @@ Moft::Moft(Moft&& other) noexcept {
   other.size_ = 0;
   staging_ = std::move(other.staging_);
   cols_ = std::move(other.cols_);
+  table_meta_ = other.table_meta_;
   block_options_ = other.block_options_;
   store_ = std::move(other.store_);
   other.store_.reset();
@@ -80,6 +83,7 @@ Moft& Moft::operator=(Moft&& other) noexcept {
     other.size_ = 0;
     staging_ = std::move(other.staging_);
     cols_ = std::move(other.cols_);
+    table_meta_ = other.table_meta_;
     block_options_ = other.block_options_;
     store_ = std::move(other.store_);
     other.store_.reset();
@@ -240,6 +244,9 @@ void Moft::SealLocked() const {
     store_.emplace(MoftBlockStore::Build(cols_, block_options_));
   } else {
     store_.reset();
+    if (!cols_.spans.empty()) {
+      table_meta_ = MoftBlockStore::ComputeMeta(cols_, 0, cols_.spans.size());
+    }
   }
   hot_valid_ = true;
 }
@@ -539,25 +546,7 @@ MoftCatalogStats Moft::CatalogStats() const {
   st.stored_bytes = cols_.size() * 4 * sizeof(double);
   st.raw_bytes = st.stored_bytes;
   if (cols_.size() > 0) {
-    BlockMeta m;
-    m.row_begin = 0;
-    m.row_end = cols_.size();
-    m.span_begin = 0;
-    m.span_end = cols_.spans.size();
-    m.oid_min = cols_.spans.front().oid;
-    m.oid_max = cols_.spans.back().oid;
-    m.t_min = m.t_max = cols_.t.front();
-    m.x_min = m.x_max = cols_.x.front();
-    m.y_min = m.y_max = cols_.y.front();
-    for (size_t i = 1; i < cols_.size(); ++i) {
-      m.t_min = std::min(m.t_min, cols_.t[i]);
-      m.t_max = std::max(m.t_max, cols_.t[i]);
-      m.x_min = std::min(m.x_min, cols_.x[i]);
-      m.x_max = std::max(m.x_max, cols_.x[i]);
-      m.y_min = std::min(m.y_min, cols_.y[i]);
-      m.y_max = std::max(m.y_max, cols_.y[i]);
-    }
-    st.blocks.push_back(m);
+    st.blocks.push_back(table_meta_);
   }
   return st;
 }

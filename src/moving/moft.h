@@ -238,6 +238,9 @@ class Moft {
 
   BlockOptions block_options_ = BlockOptions::FromEnv();
   mutable std::optional<MoftBlockStore> store_;
+  /// Without a block store: the zonemap of the one synthetic block
+  /// TableBlocks presents, computed at seal for CatalogStats.
+  mutable BlockMeta table_meta_;
   /// False when the hot columns were released (store_ is authoritative).
   mutable bool hot_valid_ = true;
   mutable uint64_t storage_epoch_ = 0;

@@ -121,4 +121,8 @@ bool TimeDimension::RollsUp(std::string_view fine, std::string_view coarse) {
   return false;
 }
 
+bool IsSubHourLevel(std::string_view level) {
+  return level == "timeId" || level == "minute";
+}
+
 }  // namespace piet::temporal

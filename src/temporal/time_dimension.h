@@ -49,6 +49,10 @@ class TimeDimension {
   static bool RollsUp(std::string_view fine, std::string_view coarse);
 };
 
+/// True for the levels finer than an hour ("timeId", "minute"): the
+/// granularities per-hour-bucket caches and interval pieces cannot serve.
+bool IsSubHourLevel(std::string_view level);
+
 }  // namespace piet::temporal
 
 #endif  // PIET_TEMPORAL_TIME_DIMENSION_H_

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <random>
 #include <string>
@@ -8,6 +10,8 @@
 
 #include "analysis/estimate/estimate.h"
 #include "analysis/lint/corpus.h"
+#include "analysis/lint/query_lint.h"
+#include "analysis/rewrite/rewriter.h"
 #include "core/pietql/evaluator.h"
 #include "core/pietql/parser.h"
 #include "obs/flight.h"
@@ -272,6 +276,96 @@ TEST(EstimateByteIdentityTest, ResultsMatchWithEstimatorOnAndOff) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Agreement: the linter's emptiness proofs and the rewriter's short
+// circuits read the same plan facts, so a lint-empty-region query must
+// rewrite with rw-empty-region and a lint-empty-time query with
+// rw-empty-time. The one deliberate abstention: PASSES THROUGH with a
+// timeId/minute rollup, where MatchingIntervals errors and the rewriter
+// leaves the mo part alone.
+
+bool RewriterAbstainsFromMoPart(const core::pietql::Query& query) {
+  if (!query.mo) {
+    return false;
+  }
+  bool passes = false;
+  bool sub_hour = false;
+  for (const core::pietql::MoCondition& cond : query.mo->where) {
+    passes = passes ||
+             cond.kind == core::pietql::MoCondition::Kind::kPassesThroughResult;
+    sub_hour = sub_hour ||
+               (cond.kind == core::pietql::MoCondition::Kind::kTimeEquals &&
+                (cond.time_level == "timeId" || cond.time_level == "minute"));
+  }
+  return passes && sub_hour;
+}
+
+struct AgreementTally {
+  int empty_regions = 0;
+  int empty_times = 0;
+};
+
+void ExpectRewriteAgreesWithLint(const gis::GisDimensionInstance* gis,
+                                 const std::vector<std::string>& moft_names,
+                                 const std::string& text,
+                                 AgreementTally* tally) {
+  auto query = core::pietql::Parse(text);
+  ASSERT_TRUE(query.ok()) << text << ": " << query.status().ToString();
+  QueryContext lint_context;
+  lint_context.gis = gis;
+  lint_context.moft_names = moft_names;
+  const DiagnosticList lint =
+      lint::LintQuery(lint_context, query.ValueOrDie());
+  rewrite::RewriteContext rewrite_context;
+  rewrite_context.gis = gis;
+  const rewrite::RewritePlan plan =
+      rewrite::RewriteQuery(rewrite_context, query.ValueOrDie());
+  auto applied = [&plan](const std::string& rule) {
+    return std::any_of(
+        plan.applied.begin(), plan.applied.end(),
+        [&rule](const rewrite::AppliedRewrite& a) { return a.rule_id == rule; });
+  };
+  if (lint.Has("lint-empty-region")) {
+    ++tally->empty_regions;
+    EXPECT_TRUE(applied("rw-empty-region")) << text << "\n" << plan.ToString();
+  }
+  if (lint.Has("lint-empty-time") &&
+      !RewriterAbstainsFromMoPart(query.ValueOrDie())) {
+    ++tally->empty_times;
+    EXPECT_TRUE(applied("rw-empty-time")) << text << "\n" << plan.ToString();
+  }
+}
+
+TEST(PlanFactsAgreementTest, LintEmptinessProofsMatchRewriteShortCircuits) {
+  AgreementTally tally;
+  const std::filesystem::path dir =
+      std::filesystem::path(PIET_SOURCE_DIR) / "tests" / "lint_corpus";
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".lint") {
+      continue;
+    }
+    auto parsed = lint::ParseCorpusFile(entry.path().string());
+    ASSERT_TRUE(parsed.ok()) << entry.path() << ": "
+                             << parsed.status().ToString();
+    const CorpusCase& c = parsed.ValueOrDie();
+    if (c.instance == nullptr) {
+      continue;  // Schema-defect case: its queries are never linted.
+    }
+    for (const std::string& q : c.queries) {
+      ExpectRewriteAgreesWithLint(c.instance.get(), c.moft_names, q, &tally);
+    }
+  }
+  std::unique_ptr<core::GeoOlapDatabase> db = MakeCityDb(Tier::kRaw);
+  for (uint64_t seed : {7, 13}) {
+    for (const std::string& q : MakeQueries(seed)) {
+      ExpectRewriteAgreesWithLint(&db->gis(), db->MoftNames(), q, &tally);
+    }
+  }
+  // Both proofs must actually be exercised.
+  EXPECT_GT(tally.empty_regions, 0);
+  EXPECT_GT(tally.empty_times, 0);
 }
 
 // ---------------------------------------------------------------------------

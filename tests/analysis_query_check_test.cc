@@ -125,6 +125,14 @@ TEST_F(QueryCheckTest, ConflictingSpatialConditionsFire) {
   EXPECT_TRUE(diags.Has("query-conflicting-conditions")) << diags.ToString();
 }
 
+TEST_F(QueryCheckTest, RepeatedSpatialConditionIsOneMode) {
+  // The evaluator evaluates a repeated INSIDE RESULT as one condition.
+  DiagnosticList diags = Analyze(
+      "SELECT layer.Ln; FROM S; | SELECT COUNT(*) FROM FMbus "
+      "WHERE INSIDE RESULT AND INSIDE RESULT;");
+  EXPECT_FALSE(diags.Has("query-conflicting-conditions")) << diags.ToString();
+}
+
 TEST_F(QueryCheckTest, TimeLevelChecksFire) {
   DiagnosticList diags = Analyze(
       "SELECT layer.Ln; FROM S; | SELECT COUNT(*) FROM FMbus "

@@ -567,6 +567,43 @@ TEST(MoftBlockTest, CopyOfBlockBackedMoftIsIndependent) {
   EXPECT_EQ(moft.num_samples(), 32u);
 }
 
+TEST(MoftBlockTest, CatalogStatsWithoutAStoreTracksEverySeal) {
+  // Without a block store the estimator's catalog holds one synthetic
+  // whole-table zonemap, computed at seal rather than on every call.
+  auto expect_table_zonemap = [](const Moft& moft) {
+    const MoftCatalogStats st = moft.CatalogStats();
+    const MoftColumns& cols = moft.Columns();
+    EXPECT_FALSE(st.has_block_store);
+    EXPECT_EQ(st.rows, cols.size());
+    ASSERT_EQ(st.blocks.size(), 1u);
+    const BlockMeta& m = st.blocks.front();
+    EXPECT_EQ(m.row_begin, 0u);
+    EXPECT_EQ(m.row_end, cols.size());
+    EXPECT_EQ(m.span_begin, 0u);
+    EXPECT_EQ(m.span_end, cols.spans.size());
+    EXPECT_EQ(m.oid_min, cols.spans.front().oid);
+    EXPECT_EQ(m.oid_max, cols.spans.back().oid);
+    EXPECT_EQ(m.t_min, *std::min_element(cols.t.begin(), cols.t.end()));
+    EXPECT_EQ(m.t_max, *std::max_element(cols.t.begin(), cols.t.end()));
+    EXPECT_EQ(m.x_min, *std::min_element(cols.x.begin(), cols.x.end()));
+    EXPECT_EQ(m.x_max, *std::max_element(cols.x.begin(), cols.x.end()));
+    EXPECT_EQ(m.y_min, *std::min_element(cols.y.begin(), cols.y.end()));
+    EXPECT_EQ(m.y_max, *std::max_element(cols.y.begin(), cols.y.end()));
+  };
+  Moft moft = MakeMoft(3, 5, BlockOptions{});
+  ASSERT_EQ(moft.block_store(), nullptr);
+  expect_table_zonemap(moft);
+  // A new extreme sample reaches the zonemap at the next seal.
+  ASSERT_TRUE(moft.Add(99, TimePoint(-50.0), geometry::Point(-3, 40)).ok());
+  expect_table_zonemap(moft);
+  const Moft copy = moft;
+  expect_table_zonemap(copy);
+
+  Moft empty;
+  empty.SetBlockOptions(BlockOptions{});
+  EXPECT_TRUE(empty.CatalogStats().blocks.empty());
+}
+
 TEST(MoftBlockTest, CollinearityPruningDropsExactlyRedundantSamples) {
   BlockOptions opts;
   opts.simplify_eps = 0.0;  // Exact: only zero-error interior samples go.
